@@ -64,7 +64,6 @@ def _fuzz_jobs():
             corpus=corpus,
             protected=len(corpus),
             step_budget=20_000,
-            engine="bytecode",
         )
         for index in range(FUZZ_BATCHES)
     ]

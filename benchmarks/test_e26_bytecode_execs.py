@@ -1,15 +1,16 @@
 """E26 — bytecode engine throughput: compile once, execute many.
 
-The bytecode VM exists to make fuzz executions cheap: the compiler
-runs once per distinct source (content-hash cache) while every
-execution pays only the threaded dispatch loop and, with no access
-hooks installed, the vectorized bulk-access fast path.  This
+The bytecode VM, the production engine, exists to make executions
+cheap: the compiler runs once per distinct source (content-hash cache)
+while every execution pays only the threaded dispatch loop and, with
+no access hooks installed, the vectorized bulk-access fast path.  This
 experiment records raw executions per second for the same seed sweep
-on both engines, the engine speedup, the hooked fuzz-oracle rate for
-context (the event tap forces every access through the slow path, so
-only the dispatch win survives there), and the cold-compile cost per
-program — all as ``extra_info`` riders so the BENCH trajectory tracks
-them.
+on production and on the reference AST interpreter (the same code path
+with the compiler declined), the engine speedup, the hooked fuzz-oracle
+rate for context (the event tap forces every access through the slow
+path, so only the dispatch win survives there), and the cold-compile
+cost per program — all as ``extra_info`` riders so the BENCH trajectory
+tracks them.
 
 The sweep drops the vulnerable ``dos-loop`` seed on purpose: it spins
 to the 50k step budget by design, so it measures the timeout ceiling
@@ -20,11 +21,11 @@ import time
 
 from conftest import print_table
 
-from repro.execution import compiled_for, reset_cache, run_source
-from repro.execution.vm import BytecodeVM
-from repro.fuzz.oracles import OracleConfig, _entry_plan, dynamic_verdict
+from repro.execution import compiled_for, reset_cache, run_program
+from repro.fuzz.oracles import _entry_plan, dynamic_verdict
 from repro.fuzz.seeds import seed_inputs
 from repro.runtime import Machine
+from tests.reference import reference_interpreter
 
 ROUNDS = 8
 
@@ -43,34 +44,23 @@ def _plans():
 PLANS = _plans()
 
 
-def _ast_sweep() -> None:
+def _vm_sweep() -> None:
     for seed, (entry, args) in PLANS:
-        machine = Machine()
         try:
-            run_source(
+            run_program(
                 seed.source,
                 entry=entry,
                 args=args,
-                machine=machine,
+                machine=Machine(),
                 stdin=seed.stdin,
             )
         except Exception:
             pass  # faults are legitimate outcomes here
 
 
-def _vm_sweep() -> None:
-    for seed, (entry, args) in PLANS:
-        compiled, _note = compiled_for(seed.source)
-        if compiled is None:
-            continue
-        machine = Machine()
-        try:
-            vm = BytecodeVM(compiled, machine=machine)
-            if seed.stdin:
-                machine.stdin.feed(*seed.stdin)
-            vm.run(entry, *args)
-        except Exception:
-            pass
+def _ast_sweep() -> None:
+    with reference_interpreter():
+        _vm_sweep()
 
 
 def _rate(benchmark) -> float:
@@ -142,15 +132,15 @@ def test_e26_engine_speedup():
         _vm_sweep()
     vm_s = time.perf_counter() - started
 
-    def oracle_sweep(engine):
-        config = OracleConfig(engine=engine)
+    def oracle_sweep():
         started = time.perf_counter()
         for seed, _plan in PLANS:
-            dynamic_verdict(seed.source, seed.stdin, config)
+            dynamic_verdict(seed.source, seed.stdin)
         return time.perf_counter() - started
 
-    oracle_ast_s = oracle_sweep("ast")
-    oracle_vm_s = oracle_sweep("bytecode")
+    with reference_interpreter():
+        oracle_ast_s = oracle_sweep()
+    oracle_vm_s = oracle_sweep()
 
     execs = ROUNDS * len(PLANS)
     ast_rate = execs / ast_s

@@ -41,9 +41,8 @@
     attack-gallery scenario, generator seed family, and regression
     bundle under every defense — including the shadow call stack, VRT
     bounds table, and memory tagging.  ``run`` evaluates (byte-identical
-    at any ``--jobs`` and on either engine), ``report`` renders a saved
-    report, and ``diff`` exits 1 on any cell-outcome drift (the CI
-    ``matrix-smoke`` gate).
+    at any ``--jobs``), ``report`` renders a saved report, and ``diff``
+    exits 1 on any cell-outcome drift (the CI ``matrix-smoke`` gate).
 
 ``repro-score``
     Rank a multi-package MiniC++ corpus by propagated blast radius
@@ -74,6 +73,19 @@ EX_USAGE = 2
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EX_USAGE
+
+
+def _warn_compile_errors(count: int, first: str) -> None:
+    """Name sources that crashed the bytecode compiler (they ran on the
+    interpreter).  stderr only: reports never mention the engine."""
+    if count:
+        print(
+            f"warning: the bytecode compiler crashed on {count} source(s); "
+            "those ran on the AST interpreter instead (bytecode.compile_errors"
+            + (f"; first: {first}" if first else "")
+            + ")",
+            file=sys.stderr,
+        )
 
 
 def _environment_by_label(label: str):
@@ -241,7 +253,7 @@ def _parallel_reports(sources, args):
 
 def exec_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``repro-exec``."""
-    from .execution import run_source
+    from .execution import run_program
     from .runtime import CanaryPolicy, Machine, MachineConfig
 
     parser = argparse.ArgumentParser(
@@ -262,14 +274,6 @@ def exec_main(argv: Optional[Sequence[str]] = None) -> int:
         "--canary",
         action="store_true",
         help="enable the StackGuard-style random canary",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("ast", "bytecode"),
-        default="ast",
-        help="execution engine: the AST interpreter (default) or the "
-        "compiled bytecode VM (falls back to the interpreter for "
-        "programs the compiler cannot lower)",
     )
     args = parser.parse_args(argv)
 
@@ -299,26 +303,13 @@ def exec_main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as error:
         return _fail(f"bad integer argument: {error}")
     try:
-        if args.engine == "bytecode":
-            from .execution.vm import run_source_bytecode
-
-            interpreter, outcome, engine_used = run_source_bytecode(
-                source,
-                entry=args.entry,
-                args=entry_args,
-                machine=machine,
-                stdin=stdin_tokens,
-            )
-            if engine_used != "bytecode":
-                print("note: program not compilable, ran on the AST interpreter")
-        else:
-            interpreter, outcome = run_source(
-                source,
-                entry=args.entry,
-                args=entry_args,
-                machine=machine,
-                stdin=stdin_tokens,
-            )
+        interpreter, outcome, _engine = run_program(
+            source,
+            entry=args.entry,
+            args=entry_args,
+            machine=machine,
+            stdin=stdin_tokens,
+        )
     except Exception as error:  # simulated faults included
         print(f"simulated process died: {error}")
         return 1
@@ -644,7 +635,6 @@ def _fuzz_run(args) -> int:
         canary=not args.no_canary,
         minimize=not args.no_minimize,
         max_corpus=args.max_corpus,
-        engine=args.engine,
     )
     store = None
     if getattr(args, "record", None):
@@ -718,23 +708,10 @@ def _fuzz_run(args) -> int:
             "recorded to the regression store (fuzz.record_errors)",
             file=sys.stderr,
         )
-    if getattr(report, "compile_errors", 0):
-        first = getattr(report, "first_compile_error", "")
-        print(
-            f"warning: the bytecode compiler crashed on "
-            f"{report.compile_errors} source(s); those ran on the AST "
-            "interpreter instead (bytecode.compile_errors"
-            + (f"; first: {first}" if first else "")
-            + ")",
-            file=sys.stderr,
-        )
-    if getattr(report, "engine_drift", 0):
-        print(
-            f"warning: {report.engine_drift} execution(s) disagreed "
-            "between the AST and bytecode engines (fuzz.engine_drift) — "
-            "this is a simulator bug; please report it",
-            file=sys.stderr,
-        )
+    _warn_compile_errors(
+        getattr(report, "compile_errors", 0),
+        getattr(report, "first_compile_error", ""),
+    )
     if store is not None:
         print(
             f"recorded {len(report.divergences)} divergence(s) into "
@@ -905,15 +882,6 @@ def fuzz_main(argv: Optional[Sequence[str]] = None) -> int:
         type=int,
         default=256,
         help="live corpus size cap (default: 256)",
-    )
-    run_parser.add_argument(
-        "--engine",
-        choices=("ast", "bytecode", "both"),
-        default="ast",
-        help="dynamic-oracle execution engine: the AST interpreter "
-        "(default), the compiled bytecode VM, or 'both' — run each "
-        "program on both engines and report any verdict disagreement "
-        "as engine drift (a differential oracle over the VM itself)",
     )
     run_parser.add_argument(
         "--no-canary",
@@ -1101,16 +1069,13 @@ def _regress_replay(args) -> int:
                 store,
                 chunk_size=args.chunk_size,
                 check_versions=not args.skip_version_check,
-                engine=args.engine,
             )
     else:
         from .regress import replay_store
 
-        drift = replay_store(
-            store,
-            check_versions=not args.skip_version_check,
-            engine="" if args.engine == "ast" else args.engine,
-        )
+        drift = replay_store(store, check_versions=not args.skip_version_check)
+    notes = drift.compile_errors
+    _warn_compile_errors(len(notes), notes[0] if notes else "")
     if args.out:
         try:
             with open(args.out, "w") as handle:
@@ -1287,14 +1252,6 @@ def regress_main(argv: Optional[Sequence[str]] = None) -> int:
         type=int,
         default=8,
         help="bundles per replay job (default: 8)",
-    )
-    replay_parser.add_argument(
-        "--engine",
-        choices=("ast", "bytecode", "both"),
-        default="ast",
-        help="execution engine override for the replay: AST interpreter "
-        "(default, the recorded regime), bytecode VM, or 'both' — "
-        "flag any engine disagreement as engine-drift",
     )
     replay_parser.add_argument(
         "--fail-on-drift",
@@ -1511,7 +1468,6 @@ def _matrix_run(args) -> int:
         if args.jobs == 0:
             report = run_sweep(
                 defenses=defenses,
-                engine=args.engine,
                 seed=args.seed,
                 regress_dir=regress_dir,
                 step_budget=args.step_budget,
@@ -1524,13 +1480,14 @@ def _matrix_run(args) -> int:
             ) as engine:
                 report = engine.matrix_sweep(
                     defenses=defenses,
-                    engine=args.engine,
                     seed=args.seed,
                     regress_dir=regress_dir,
                     step_budget=args.step_budget,
                 )
     except (KeyError, LookupError) as error:
         return _fail(error.args[0] if error.args else str(error))
+    notes = report.compile_errors
+    _warn_compile_errors(len(notes), notes[0] if notes else "")
     encoded = canonical_report_json(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -1596,13 +1553,6 @@ def matrix_main(argv: Optional[Sequence[str]] = None) -> int:
         choices=("thread", "process"),
         default="thread",
         help="service worker backend (default: thread)",
-    )
-    run_parser.add_argument(
-        "--engine",
-        choices=("ast", "bytecode"),
-        default="ast",
-        help="execution engine for program rows (default: ast); the "
-        "report is byte-identical on either",
     )
     run_parser.add_argument(
         "--seed", type=int, default=1, help="generator seed-row seed (default: 1)"

@@ -304,9 +304,6 @@ class ClusterServer:
             source = body.get("source")
             if not isinstance(source, str):
                 raise _BadRequest("'source' must be a string")
-            engine_name = body.get("engine", "ast")
-            if engine_name not in ("ast", "bytecode"):
-                raise _BadRequest("'engine' must be one of: ast, bytecode")
             return [
                 ExecJob(
                     source=source,
@@ -314,7 +311,6 @@ class ClusterServer:
                     args=tuple(body.get("args") or ()),
                     stdin=tuple(body.get("stdin") or ()),
                     canary=bool(body.get("canary")),
-                    engine=engine_name,
                 )
             ]
         return None

@@ -4,10 +4,11 @@ The dynamic complement to :mod:`repro.analysis`: the same sources the
 static detector flags are *run* here, so every report can be validated
 against observed memory corruption.
 
-Two engines share one semantics: the AST :class:`Interpreter` (the
-precise-fault reference) and the :class:`BytecodeVM` (a compiled IR
-with a threaded dispatch loop — see :mod:`repro.execution.bytecode`),
-which the fuzzing stack can differential-test against the interpreter.
+Production runs go through :func:`run_program` / :func:`load_program`:
+the :class:`BytecodeVM` (a compiled IR with a threaded dispatch loop —
+see :mod:`repro.execution.bytecode`), falling back per program to the
+AST :class:`Interpreter`, which is also the reference the parity tests
+hold the VM to.
 """
 
 from .bytecode import (
@@ -30,8 +31,9 @@ from .vm import (
     cache_stats,
     compile_source,
     compiled_for,
+    load_program,
     reset_cache,
-    run_source_bytecode,
+    run_program,
 )
 
 __all__ = [
@@ -51,8 +53,9 @@ __all__ = [
     "compile_source",
     "compiled_for",
     "disassemble",
+    "load_program",
     "reset_cache",
+    "run_program",
     "run_source",
-    "run_source_bytecode",
     "truthy",
 ]

@@ -15,11 +15,12 @@ segment-straddling ranges — falls back to ``AddressSpace.read/write``,
 which raises the precise fault and fires the exact events the
 interpreter would.
 
-The module also owns the compiled-program cache used by the fuzzing
-stack: keyed by source hash + :data:`BYTECODE_VERSION`, with
-compilation-failure sentinels so a program that cannot be compiled
-(``fallbacks``) or crashes the compiler (``compile_errors``) is decided
-once and the caller transparently reruns it on the interpreter.
+The module also owns the production entry points, :func:`load_program`
+and :func:`run_program`, and their compiled-program cache: keyed by
+source hash + :data:`BYTECODE_VERSION`, with compilation-failure
+sentinels so a program that cannot be compiled (``fallbacks``) or
+crashes the compiler (``compile_errors``) is decided once and
+transparently runs on the interpreter instead.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from __future__ import annotations
 import hashlib
 import struct
 import threading
-from collections import OrderedDict
 from typing import Any, Optional, Tuple
 
+from ..analysis.cache import _LruCache
 from ..analysis.parser import ParseError, parse
 from ..cxx.object_model import Instance
 from ..cxx.types import (
@@ -57,7 +58,6 @@ from .interpreter import (
     Interpreter,
     _atoi,
     _SCALAR_CTYPES,
-    run_source,
 )
 from .values import LValue, Scope, Variable, truthy
 
@@ -68,8 +68,9 @@ __all__ = [
     "cache_stats",
     "compile_source",
     "compiled_for",
+    "load_program",
     "reset_cache",
-    "run_source_bytecode",
+    "run_program",
     "source_digest",
 ]
 
@@ -888,16 +889,15 @@ def source_digest(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
-_CACHE_CAPACITY = 256
-_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-_cache_lock = threading.Lock()
-_stats = {
-    "compiles": 0,
-    "cache_hits": 0,
-    "cache_misses": 0,
-    "fallbacks": 0,
-    "compile_errors": 0,
-}
+#: Compiled programs (and compile-failure sentinels) by (digest, version).
+_cache = _LruCache()
+_counts_lock = threading.Lock()
+_counts = {"compiles": 0, "fallbacks": 0, "compile_errors": 0}
+
+
+def _count(counter: str) -> None:
+    with _counts_lock:
+        _counts[counter] += 1
 
 
 def compile_source(source: str) -> CompiledProgram:
@@ -916,80 +916,85 @@ def compiled_for(source: str) -> Tuple[Optional[CompiledProgram], str]:
     decision is made once per source.
     """
     key = (source_digest(source), BYTECODE_VERSION)
-    with _cache_lock:
-        cached = _cache.get(key)
-        if cached is not None:
-            _cache.move_to_end(key)
-            _stats["cache_hits"] += 1
-            return cached
-        _stats["cache_misses"] += 1
+    cached = _cache.get(key)
+    if cached is not None:
+        return cached
     try:
         entry: Tuple[Optional[CompiledProgram], str] = (compile_source(source), "")
-        with _cache_lock:
-            _stats["compiles"] += 1
+        _count("compiles")
     except ParseError:
         # The interpreter's own parse raises the identical error, so
         # the fallback run reproduces the exact invalid verdict.
         entry = (None, "")
     except UnsupportedConstruct:
         entry = (None, "fallback:unsupported")
-        with _cache_lock:
-            _stats["fallbacks"] += 1
+        _count("fallbacks")
     except Exception:
         # A compiler bug or resource blow-up (e.g. RecursionError on a
         # pathologically deep mutant): record it, run on the
         # interpreter, and surface the failing source hash upstream.
         entry = (None, f"compile-error:{key[0][:12]}")
-        with _cache_lock:
-            _stats["compile_errors"] += 1
-    with _cache_lock:
-        _cache[key] = entry
-        _cache.move_to_end(key)
-        while len(_cache) > _CACHE_CAPACITY:
-            _cache.popitem(last=False)
+        _count("compile_errors")
+    _cache.put(key, entry)
     return entry
 
 
 def cache_stats() -> dict:
     """Counters for the metrics surfaces (JSON and Prometheus)."""
-    with _cache_lock:
-        snapshot = dict(_stats)
-        snapshot["cache_size"] = len(_cache)
-        snapshot["version"] = BYTECODE_VERSION
+    lru = _cache.stats()
+    with _counts_lock:
+        snapshot = dict(_counts)
+    snapshot["cache_hits"] = lru["hits"]
+    snapshot["cache_misses"] = lru["misses"]
+    snapshot["cache_size"] = lru["entries"]
+    snapshot["version"] = BYTECODE_VERSION
     return snapshot
 
 
 def reset_cache() -> None:
     """Clear the cache and counters (tests and benchmarks)."""
-    with _cache_lock:
-        _cache.clear()
-        for counter in _stats:
-            _stats[counter] = 0
+    _cache.clear()
+    _cache.hits = _cache.misses = 0
+    with _counts_lock:
+        for counter in _counts:
+            _counts[counter] = 0
 
 
-def run_source_bytecode(
+def load_program(
+    source: str,
+    machine: Optional[Machine] = None,
+    step_budget: int = DEFAULT_STEP_BUDGET,
+) -> Tuple[Interpreter, str]:
+    """The production executor for ``source``, loaded and ready to run.
+
+    A :class:`BytecodeVM` over the :func:`compiled_for` program, or the
+    AST :class:`Interpreter` when there is none (unsupported construct,
+    compiler crash, or a parse error the interpreter re-raises
+    verbatim).  Returns ``(executor, note)`` with ``compiled_for``'s
+    note.
+    """
+    compiled, note = compiled_for(source)
+    if compiled is None:
+        return Interpreter(parse(source), machine=machine, step_budget=step_budget), note
+    return BytecodeVM(compiled, machine=machine, step_budget=step_budget), note
+
+
+def run_program(
     source: str,
     entry: str = "main",
     args: tuple = (0, 0),
     machine: Optional[Machine] = None,
     stdin: tuple = (),
     step_budget: int = DEFAULT_STEP_BUDGET,
-) -> Tuple[Any, FunctionOutcome, str]:
-    """Like :func:`run_source` but on the bytecode engine, with a
-    transparent interpreter fallback.
+) -> Tuple[Interpreter, FunctionOutcome, str]:
+    """Load ``source`` with :func:`load_program` and run ``entry``.
 
     Returns ``(executor, outcome, engine)`` where ``engine`` is the
     engine that actually ran — ``"bytecode"`` or ``"ast"``.
     """
-    compiled, _note = compiled_for(source)
-    if compiled is None:
-        interpreter, outcome = run_source(
-            source, entry=entry, args=args, machine=machine, stdin=stdin,
-            step_budget=step_budget,
-        )
-        return interpreter, outcome, "ast"
-    vm = BytecodeVM(compiled, machine=machine, step_budget=step_budget)
+    executor, _note = load_program(source, machine=machine, step_budget=step_budget)
     if stdin:
-        vm.machine.stdin.feed(*stdin)
-    outcome = vm.run(entry, *args)
-    return vm, outcome, "bytecode"
+        executor.machine.stdin.feed(*stdin)
+    outcome = executor.run(entry, *args)
+    engine = "bytecode" if isinstance(executor, BytecodeVM) else "ast"
+    return executor, outcome, engine

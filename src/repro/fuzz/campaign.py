@@ -48,14 +48,9 @@ class FuzzConfig:
     canary: bool = True
     minimize: bool = True
     max_corpus: int = 256
-    #: Execution engine: "ast", "bytecode", or "both" (see
-    #: :class:`~repro.fuzz.oracles.OracleConfig.engine`).
-    engine: str = "ast"
 
     def oracle_config(self) -> OracleConfig:
-        return OracleConfig(
-            step_budget=self.step_budget, canary=self.canary, engine=self.engine
-        )
+        return OracleConfig(step_budget=self.step_budget, canary=self.canary)
 
 
 class CampaignInterrupted(RuntimeError):
@@ -107,7 +102,6 @@ class DifferentialFuzzer:
         self.record_errors = 0  # divergences that failed to persist
         self.compile_errors = 0  # sources the bytecode compiler crashed on
         self.first_compile_error = ""  # "compile-error:<hash>" of the first
-        self.engine_drift = 0  # both-mode verdicts where the engines split
         self._seen: set = set()  # every key ever evaluated or enrolled
         self._corpus_keys: set = set()  # keys currently in the corpus
         self._protected = 0  # leading corpus entries exempt from eviction
@@ -161,10 +155,6 @@ class DifferentialFuzzer:
                 self.first_compile_error = note
             if self.metrics is not None:
                 self.metrics.counter("bytecode.compile_errors").inc()
-        if observation.dynamic.engine_drift:
-            self.engine_drift += 1
-            if self.metrics is not None:
-                self.metrics.counter("fuzz.engine_drift").inc()
         if fuzz_input.label == "vulnerable":
             reach = self.families.setdefault(
                 fuzz_input.family, {"static": False, "dynamic": False}
@@ -286,14 +276,11 @@ class DifferentialFuzzer:
         # Advisory only, never serialized: record failures depend on the
         # machine's disk, and the report bytes must not.
         report.record_errors = self.record_errors
-        # Advisory too: which engine ran, whether the bytecode compiler
-        # crashed on any source (and the first failing source hash), and
-        # whether the both-mode shadow runs ever disagreed.  Kept out of
+        # Advisory too: whether the bytecode compiler crashed on any
+        # source (and the first failing source hash).  Kept out of
         # to_dict() so report bytes stay engine-independent.
-        report.engine = self.config.engine
         report.compile_errors = self.compile_errors
         report.first_compile_error = self.first_compile_error
-        report.engine_drift = self.engine_drift
         return report
 
 
@@ -319,7 +306,6 @@ def run_batch(payload: dict) -> dict:
         step_budget=payload.get("step_budget", DEFAULT_STEP_BUDGET),
         canary=payload.get("canary", True),
         max_corpus=payload.get("max_corpus", 256),
-        engine=payload.get("engine", "ast"),
     )
     fuzzer = DifferentialFuzzer(config)
     baseline = frozenset(payload.get("coverage", ()))
@@ -345,7 +331,6 @@ def run_batch(payload: dict) -> dict:
         "saturations": fuzzer.saturations,
         "compile_errors": fuzzer.compile_errors,
         "first_compile_error": fuzzer.first_compile_error,
-        "engine_drift": fuzzer.engine_drift,
         "new_coverage": sorted(
             key for key in fuzzer.coverage.sorted_keys() if key not in baseline
         ),
@@ -376,7 +361,6 @@ def _merge_batch(fuzzer: DifferentialFuzzer, result: dict) -> None:
     fuzzer.compile_errors += result.get("compile_errors", 0)
     if not fuzzer.first_compile_error:
         fuzzer.first_compile_error = result.get("first_compile_error", "")
-    fuzzer.engine_drift += result.get("engine_drift", 0)
     if fuzzer.metrics is not None:
         fuzzer.metrics.counter("fuzz.execs_total").inc(result["execs"])
         if result.get("saturations"):
@@ -386,10 +370,6 @@ def _merge_batch(fuzzer: DifferentialFuzzer, result: dict) -> None:
         if result.get("compile_errors"):
             fuzzer.metrics.counter("bytecode.compile_errors").inc(
                 result["compile_errors"]
-            )
-        if result.get("engine_drift"):
-            fuzzer.metrics.counter("fuzz.engine_drift").inc(
-                result["engine_drift"]
             )
     fuzzer.coverage.observe(result["new_coverage"])
     for source, stdin, family, label in result["new_inputs"]:
@@ -536,7 +516,6 @@ def run_campaign(
                     "step_budget": config.step_budget,
                     "canary": config.canary,
                     "max_corpus": config.max_corpus,
-                    "engine": config.engine,
                 }
             )
         if engine is None:

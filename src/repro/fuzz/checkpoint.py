@@ -76,7 +76,10 @@ class CampaignCheckpoint:
     def fuzz_config(self):
         from .campaign import FuzzConfig
 
-        return FuzzConfig(**self.config)
+        # Checkpoints written before the execution engine was fixed
+        # carry a retired "engine" key; every run now takes one engine.
+        config = {k: v for k, v in self.config.items() if k != "engine"}
+        return FuzzConfig(**config)
 
     def stale_versions(self) -> dict:
         """Version keys that no longer match the live code
@@ -183,7 +186,6 @@ def checkpoint_from_fuzzer(
             "canary": fuzzer.config.canary,
             "minimize": fuzzer.config.minimize,
             "max_corpus": fuzzer.config.max_corpus,
-            "engine": fuzzer.config.engine,
         },
         batch_size=batch_size,
         round_index=round_index,
@@ -211,7 +213,6 @@ def checkpoint_from_fuzzer(
             "iterations_lost": fuzzer.iterations_lost,
             "compile_errors": fuzzer.compile_errors,
             "first_compile_error": fuzzer.first_compile_error,
-            "engine_drift": fuzzer.engine_drift,
         },
         versions=current_versions(),
     )
@@ -251,7 +252,6 @@ def restore_fuzzer(checkpoint: CampaignCheckpoint, metrics=None, store=None):
     fuzzer.iterations_lost = counters.get("iterations_lost", 0)
     fuzzer.compile_errors = counters.get("compile_errors", 0)
     fuzzer.first_compile_error = counters.get("first_compile_error", "")
-    fuzzer.engine_drift = counters.get("engine_drift", 0)
     return fuzzer
 
 

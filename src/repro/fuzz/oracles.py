@@ -16,7 +16,7 @@ stdin exhaustion) are *invalid*, never divergent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..analysis import analyze_source, parse
@@ -76,12 +76,10 @@ class DynamicVerdict:
     valid: bool = True
     reason: str = ""  # why the run could not be judged, when invalid
     fault: str = ""  # exception class name when the process died
-    #: ``both``-engine mode: how the bytecode VM's run disagreed with
-    #: the interpreter's ("" = agreed).  Advisory — never part of the
-    #: events tuple, so fingerprints and coverage keys are engine-free.
-    engine_drift: str = ""
     #: Why the bytecode engine did not run this source, when it didn't
-    #: ("fallback:unsupported", "compile-error:<hash>").
+    #: ("fallback:unsupported", "compile-error:<hash>").  Advisory —
+    #: never part of the events tuple, so fingerprints and coverage
+    #: keys are engine-free.
     engine_note: str = ""
 
     @property
@@ -121,12 +119,6 @@ class OracleConfig:
     step_budget: int = DEFAULT_STEP_BUDGET
     canary: bool = True  # deterministic (seeded) StackGuard canaries
     stdin: tuple = DEFAULT_STDIN
-    #: Execution engine: "ast" (the interpreter), "bytecode" (the
-    #: compiled VM, falling back per-program when a source cannot be
-    #: compiled), or "both" (interpreter verdict is authoritative; the
-    #: VM runs as a shadow and any disagreement is reported as
-    #: ``engine_drift`` — a free differential oracle over the VM).
-    engine: str = "ast"
 
 
 def static_verdict(source: str) -> Optional[StaticVerdict]:
@@ -200,67 +192,59 @@ def _secret_leaked(stored) -> bool:
     return False
 
 
-def _observe_once(
-    source: str, entry: str, args: tuple, stdin: tuple, config: OracleConfig,
-    compiled=None,
-) -> DynamicVerdict:
-    """One execution on one engine, distilled into a verdict.
+@dataclass(frozen=True)
+class ObservedRun:
+    """One production run on a prepared machine, distilled to events."""
 
-    ``compiled`` non-None runs the bytecode VM; None runs the AST
-    interpreter.  Everything else — machine setup, event taps, the
-    verdict distillation — is identical, which is what makes the
-    ``both``-mode comparison meaningful.
+    #: ``hijack``, ``placement-overflow``/``placement-fit``,
+    #: ``leak-detected`` and the memory-event tap's kinds.
+    events: frozenset = frozenset()
+    #: What ended the run early: a :class:`SimulatedProcessError` is a
+    #: process death; anything else means the run cannot be judged.
+    error: Optional[Exception] = None
+    #: :func:`~repro.execution.vm.compiled_for`'s note.
+    note: str = ""
+    #: The VM or interpreter that ran (None when loading failed).
+    executor: Optional[object] = None
+
+
+def observe_run(
+    machine: Machine,
+    source: str,
+    entry: str,
+    args: tuple,
+    stdin: tuple,
+    step_budget: int,
+) -> ObservedRun:
+    """Run ``entry`` of ``source`` on ``machine`` and distill the run.
+
+    The shared core of the fuzz dynamic oracle and the matrix program
+    cell: the caller prepares the machine (canary policy, defense
+    hooks); this registers the password file and a memory-event tap,
+    runs the program on the production engine
+    (:func:`~repro.execution.vm.load_program`), and collects the events
+    — including those observed before a fault ended the run.
     """
-    from ..execution import run_source
+    from ..execution.vm import load_program
 
-    machine = Machine(
-        MachineConfig(
-            canary_policy=CanaryPolicy.RANDOM if config.canary else CanaryPolicy.NONE
-        )
-    )
     machine.files.add(password_file())
     tap = MemoryEventTap(machine.space)
     machine.event_tap = tap
     machine.space.add_access_hook(tap)
 
     events: set = set()
-    fault = ""
+    error = None
     executor = None
+    note = ""
     try:
-        if compiled is not None:
-            from ..execution.vm import BytecodeVM
-
-            executor = BytecodeVM(
-                compiled, machine=machine, step_budget=config.step_budget
-            )
-            feed = tuple(stdin) or config.stdin
-            if feed:
-                machine.stdin.feed(*feed)
-            outcome = executor.run(entry, *args)
-        else:
-            executor, outcome = run_source(
-                source,
-                entry=entry,
-                args=args,
-                machine=machine,
-                stdin=tuple(stdin) or config.stdin,
-                step_budget=config.step_budget,
-            )
+        executor, note = load_program(source, machine=machine, step_budget=step_budget)
+        if stdin:
+            machine.stdin.feed(*stdin)
+        outcome = executor.run(entry, *args)
         if outcome.frame_exit is not None and outcome.frame_exit.hijacked:
             events.add("hijack")
-    except SimulatedProcessError as error:
-        fault = type(error).__name__
-        events.add(f"fault:{fault}")
-        if isinstance(error, SegmentationFault):
-            events.add("segment-faulted")
-        elif isinstance(error, StackSmashingDetected):
-            events.add("canary-clobbered")
-        elif isinstance(error, SimulatedTimeout):
-            events.add("dos-timeout")
-    except Exception as error:  # ApiMisuse, missing stdin, bad entry...
-        return DynamicVerdict(
-            valid=False, reason=f"{type(error).__name__}: {error}"
-        )
+    except Exception as exc:  # faults, ApiMisuse, missing stdin, bad entry...
+        error = exc
 
     for record in machine.placement_log.records:
         events.add(
@@ -269,31 +253,9 @@ def _observe_once(
     if executor is not None and _secret_leaked(executor.stored):
         events.add("leak-detected")
     events.update(tap.kinds)
-    return DynamicVerdict(events=tuple(sorted(events)), fault=fault)
-
-
-def _engine_drift(primary: DynamicVerdict, shadow: DynamicVerdict) -> str:
-    """How the VM's run disagreed with the interpreter's ("" = agreed).
-
-    Two invalid runs always agree: the reason strings may word the same
-    failure differently, and an unjudgeable run carries no verdict to
-    drift from.
-    """
-    if not primary.valid and not shadow.valid:
-        return ""
-    if primary.valid != shadow.valid:
-        return f"valid:ast={primary.valid}|bytecode={shadow.valid}"
-    details = []
-    if primary.events != shadow.events:
-        details.append(
-            f"events:ast={','.join(primary.events) or '-'}"
-            f"|bytecode={','.join(shadow.events) or '-'}"
-        )
-    if primary.fault != shadow.fault:
-        details.append(
-            f"fault:ast={primary.fault or '-'}|bytecode={shadow.fault or '-'}"
-        )
-    return "; ".join(details)
+    return ObservedRun(
+        events=frozenset(events), error=error, note=note, executor=executor
+    )
 
 
 def dynamic_verdict(
@@ -302,10 +264,7 @@ def dynamic_verdict(
     """Execute ``source`` and distill the run into a verdict.
 
     Returns ``(entry_name, DynamicVerdict)``; the verdict is invalid
-    (never divergent) when the harness cannot judge the run.  The
-    engine is picked by ``config.engine`` — under ``both`` the
-    interpreter's verdict is authoritative and the VM's shadow run only
-    surfaces as ``engine_drift``.
+    (never divergent) when the harness cannot judge the run.
     """
     try:
         plan = _entry_plan(source)
@@ -315,28 +274,33 @@ def dynamic_verdict(
         return "", DynamicVerdict(valid=False, reason="no runnable entry")
     entry, args = plan
 
-    compiled = None
-    note = ""
-    if config.engine in ("bytecode", "both"):
-        from ..execution.vm import compiled_for
-
-        compiled, note = compiled_for(source)
-
-    if config.engine == "bytecode":
-        verdict = _observe_once(source, entry, args, stdin, config, compiled)
-        if note:
-            verdict = replace(verdict, engine_note=note)
-        return entry, verdict
-
-    verdict = _observe_once(source, entry, args, stdin, config, None)
-    if config.engine == "both":
-        drift = ""
-        if compiled is not None:
-            shadow = _observe_once(source, entry, args, stdin, config, compiled)
-            drift = _engine_drift(verdict, shadow)
-        if drift or note:
-            verdict = replace(verdict, engine_drift=drift, engine_note=note)
-    return entry, verdict
+    machine = Machine(
+        MachineConfig(
+            canary_policy=CanaryPolicy.RANDOM if config.canary else CanaryPolicy.NONE
+        )
+    )
+    run = observe_run(
+        machine, source, entry, args, tuple(stdin) or config.stdin, config.step_budget
+    )
+    error = run.error
+    if error is not None and not isinstance(error, SimulatedProcessError):
+        return entry, DynamicVerdict(
+            valid=False, reason=f"{type(error).__name__}: {error}", engine_note=run.note
+        )
+    events = set(run.events)
+    fault = ""
+    if error is not None:
+        fault = type(error).__name__
+        events.add(f"fault:{fault}")
+        if isinstance(error, SegmentationFault):
+            events.add("segment-faulted")
+        elif isinstance(error, StackSmashingDetected):
+            events.add("canary-clobbered")
+        elif isinstance(error, SimulatedTimeout):
+            events.add("dos-timeout")
+    return entry, DynamicVerdict(
+        events=tuple(sorted(events)), fault=fault, engine_note=run.note
+    )
 
 
 def run_oracles(

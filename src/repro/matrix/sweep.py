@@ -12,9 +12,10 @@ while the machine-level mitigations can.
 
 Determinism is load-bearing: cell evaluation is pure (fresh machine,
 seeded canaries, fixed stdin), rows and defenses are ordered, and the
-report is canonical JSON with no engine or timing fields — so the same
-sweep is byte-identical at any worker count and on either execution
-engine, which is what lets CI diff a committed baseline.
+report is canonical JSON with no timing fields — so the same sweep is
+byte-identical at any worker count, and on the bytecode VM and the
+reference interpreter alike, which is what lets CI diff a committed
+baseline.
 """
 
 from __future__ import annotations
@@ -137,27 +138,26 @@ def run_program_cell(
     source: str,
     stdin: Sequence,
     defense_name: str,
-    engine: str = "ast",
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> dict:
     """One MiniC++ program on the defense environment's machine.
 
-    The run mirrors the fuzz dynamic oracle (entry planning, password
-    file, memory-event tap, secret-leak probe) except that the machine
-    comes from ``defense.fresh_environment().make_machine()``, so
-    machine-level mitigations are armed while source-level disciplines
-    (checked placement, sanitize-on-reuse) have nothing to hook — the
-    interpreter places objects itself, exactly the legacy-code gap §5
-    worries about.
+    The run is the fuzz dynamic oracle's (entry planning, then
+    :func:`~repro.fuzz.oracles.observe_run`: password file, memory-event
+    tap, secret-leak probe) except that the machine comes from
+    ``defense.fresh_environment().make_machine()``, so machine-level
+    mitigations are armed while source-level disciplines (checked
+    placement, sanitize-on-reuse) have nothing to hook — the program
+    places objects itself, exactly the legacy-code gap §5 worries
+    about.  A compiler crash is carried in the cell's advisory
+    ``engine_note``, which the report leaves out.
     """
     from ..fuzz.oracles import (
         DEFAULT_STDIN,
         VULNERABLE_EVENTS,
         _entry_plan,
-        _secret_leaked,
+        observe_run,
     )
-    from ..memory import MemoryEventTap
-    from ..runtime import password_file
 
     defense = defense_by_name(defense_name)
     env = defense.fresh_environment()
@@ -169,61 +169,25 @@ def run_program_cell(
         return _cell("invalid", False, None, False)
     entry, args = plan
 
-    machine = env.make_machine()
-    machine.files.add(password_file())
-    tap = MemoryEventTap(machine.space)
-    machine.event_tap = tap
-    machine.space.add_access_hook(tap)
-
-    compiled = None
-    if engine == "bytecode":
-        from ..execution.vm import compiled_for
-
-        compiled, _ = compiled_for(source)
-
-    events: set = set()
-    executor = None
-    feed = tuple(stdin) or DEFAULT_STDIN
-    try:
-        if compiled is not None:
-            from ..execution.vm import BytecodeVM
-
-            executor = BytecodeVM(
-                compiled, machine=machine, step_budget=step_budget
-            )
-            if feed:
-                machine.stdin.feed(*feed)
-            outcome = executor.run(entry, *args)
-        else:
-            from ..execution import run_source
-
-            executor, outcome = run_source(
-                source,
-                entry=entry,
-                args=args,
-                machine=machine,
-                stdin=feed,
-                step_budget=step_budget,
-            )
-        if outcome.frame_exit is not None and outcome.frame_exit.hijacked:
-            events.add("hijack")
-    except SimulatedProcessError as error:
-        detected_by, crashed = classify_failure(error)
+    run = observe_run(
+        env.make_machine(), source, entry, args,
+        tuple(stdin) or DEFAULT_STDIN, step_budget,
+    )
+    if isinstance(run.error, SimulatedProcessError):
+        detected_by, crashed = classify_failure(run.error)
         if detected_by:
-            return _cell(f"detected({detected_by})", False, detected_by, False)
-        return _cell("crashed", False, None, True)
-    except Exception:
-        return _cell("invalid", False, None, False)
-
-    for record in machine.placement_log.records:
-        if record.overflows_arena:
-            events.add("placement-overflow")
-    if executor is not None and _secret_leaked(executor.stored):
-        events.add("leak-detected")
-    events.update(tap.kinds)
-    if events & VULNERABLE_EVENTS:
-        return _cell("ATTACK-WINS", True, None, False)
-    return _cell("prevented", False, None, False)
+            cell = _cell(f"detected({detected_by})", False, detected_by, False)
+        else:
+            cell = _cell("crashed", False, None, True)
+    elif run.error is not None:
+        cell = _cell("invalid", False, None, False)
+    elif run.events & VULNERABLE_EVENTS:
+        cell = _cell("ATTACK-WINS", True, None, False)
+    else:
+        cell = _cell("prevented", False, None, False)
+    if run.note.startswith("compile-error:"):
+        cell["engine_note"] = run.note
+    return cell
 
 
 def evaluate_cell(payload: dict) -> dict:
@@ -237,7 +201,6 @@ def evaluate_cell(payload: dict) -> dict:
             payload.get("source", ""),
             tuple(payload.get("stdin") or ()),
             defense,
-            engine=payload.get("engine") or "ast",
             step_budget=payload.get("step_budget") or DEFAULT_STEP_BUDGET,
         )
     cell["row_kind"] = row_kind
@@ -249,16 +212,27 @@ def evaluate_cell(payload: dict) -> dict:
 # -- report assembly --------------------------------------------------------
 
 
+class SweepReport(dict):
+    """The canonical report: its items are the report bytes.
+
+    ``compile_errors`` — the sorted ``compile-error:<hash12>`` notes of
+    program rows whose source crashed the bytecode compiler (they ran
+    on the interpreter) — is advisory and never enters those bytes.
+    """
+
+    compile_errors: tuple = ()
+
+
 def build_report(
     rows: Sequence,
     defense_names: Sequence[str],
     cells: Iterable[dict],
-) -> dict:
+) -> SweepReport:
     """Assemble the canonical sweep report from evaluated cells.
 
     ``cells`` must arrive in row-major submission order (every defense
-    for row 0, then row 1, ...).  The report carries no engine, worker
-    count, or timing — byte-identity across those knobs is the point.
+    for row 0, then row 1, ...).  The report carries no worker count or
+    timing — byte-identity at any worker count is the point.
     """
     from ..score.threats import risks_from_matrix
 
@@ -289,13 +263,17 @@ def build_report(
         ]
     }
     risks = [risk.to_dict() for risk in risks_from_matrix(matrix_dict)]
-    return {
-        "schema": SCHEMA,
-        "defenses": list(defense_names),
-        "rows": report_rows,
-        "attacks_succeeding": totals,
-        "risks": risks,
-    }
+    report = SweepReport(
+        schema=SCHEMA,
+        defenses=list(defense_names),
+        rows=report_rows,
+        attacks_succeeding=totals,
+        risks=risks,
+    )
+    report.compile_errors = tuple(
+        sorted({cell["engine_note"] for cell in cell_list if "engine_note" in cell})
+    )
+    return report
 
 
 def canonical_report_json(report: dict) -> str:
@@ -376,11 +354,10 @@ def diff_reports(baseline: dict, current: dict) -> list:
 def run_sweep(
     rows: Optional[Sequence] = None,
     defenses: Sequence[str] = (),
-    engine: str = "ast",
     seed: int = DEFAULT_SEED,
     regress_dir: Optional[str] = None,
     step_budget: int = DEFAULT_STEP_BUDGET,
-) -> dict:
+) -> SweepReport:
     """Evaluate the sweep in-process, sequentially (the ``--jobs 0``
     path and the reference the fanned-out path must byte-match)."""
     if rows is None:
@@ -396,7 +373,6 @@ def run_sweep(
                 "source": row.source,
                 "stdin": tuple(row.stdin),
                 "defense": name,
-                "engine": "" if row.kind == "attack" else engine,
                 "step_budget": step_budget,
             }
         )

@@ -23,10 +23,6 @@ of:
 ``invalid-run``
     The harness can no longer judge the input at all (parse error,
     no runnable entry) although the bundle expected a judged outcome.
-``engine-drift``
-    Only under an ``engine`` override of ``both``: the recorded verdict
-    reproduced, but the bytecode VM's shadow run disagreed with the AST
-    interpreter — a simulator-implementation bug, not a corpus change.
 
 Results are ordered by bundle id everywhere, so a replay report is
 byte-identical no matter how the work was scheduled — sequentially or
@@ -36,7 +32,7 @@ fanned out over any number of service workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..fuzz.divergence import (
@@ -67,6 +63,10 @@ class ReplayResult:
     observed: dict = field(default_factory=dict)
     detail: str = ""
     family: str = ""
+    #: ``compile-error:<hash12>`` when the source crashed the bytecode
+    #: compiler and ran on the interpreter.  Advisory: carried between
+    #: workers by :func:`replay_bundle_json`, never in :meth:`to_dict`.
+    engine_note: str = ""
 
     @property
     def ok(self) -> bool:
@@ -91,6 +91,7 @@ class ReplayResult:
             observed=dict(data.get("observed", {})),
             detail=data.get("detail", ""),
             family=data.get("family", ""),
+            engine_note=data.get("engine_note", ""),
         )
 
 
@@ -105,16 +106,9 @@ def _expected_view(bundle: RegressionBundle) -> dict:
 
 
 def replay_bundle(
-    bundle: RegressionBundle, check_versions: bool = True, engine: str = ""
+    bundle: RegressionBundle, check_versions: bool = True
 ) -> ReplayResult:
-    """Re-run one bundle and judge it against its expectations.
-
-    ``engine`` overrides the execution engine for this replay ("" keeps
-    the bundle's recorded config, i.e. the AST interpreter).  The
-    override is never part of bundle identity — the same bundle judges
-    the same way under any engine unless the engines genuinely disagree,
-    which ``both`` reports as ``engine-drift``.
-    """
+    """Re-run one bundle and judge it against its expectations."""
     expected = _expected_view(bundle)
     if check_versions:
         live = current_versions()
@@ -139,10 +133,15 @@ def replay_bundle(
                 family=bundle.family,
             )
 
-    oracle_config = bundle.oracle_config()
-    if engine:
-        oracle_config = dc_replace(oracle_config, engine=engine)
-    observation = run_oracles(bundle.source, bundle.stdin, oracle_config)
+    observation = run_oracles(bundle.source, bundle.stdin, bundle.oracle_config())
+    result = _judge(bundle, expected, observation)
+    if observation.dynamic.engine_note.startswith("compile-error:"):
+        result.engine_note = observation.dynamic.engine_note
+    return result
+
+
+def _judge(bundle: RegressionBundle, expected: dict, observation) -> ReplayResult:
+    """Compare one live observation with the bundle's expectations."""
     if not observation.valid:
         observed = {"kind": "invalid", "reason": observation.dynamic.reason}
         if bundle.expected_kind == "invalid":
@@ -222,15 +221,6 @@ def replay_bundle(
             f"{observed['triage'] or 'open'!r}",
             family=bundle.family,
         )
-    if observation.dynamic.engine_drift:
-        return ReplayResult(
-            bundle_id=bundle.bundle_id,
-            status="engine-drift",
-            expected=expected,
-            observed=observed,
-            detail=f"engines disagreed: {observation.dynamic.engine_drift}",
-            family=bundle.family,
-        )
     return ReplayResult(
         bundle_id=bundle.bundle_id,
         status="ok",
@@ -240,10 +230,9 @@ def replay_bundle(
     )
 
 
-def replay_bundle_json(
-    document: str, check_versions: bool = True, engine: str = ""
-) -> dict:
-    """Worker-friendly wrapper: canonical bundle JSON in, result dict out."""
+def replay_bundle_json(document: str, check_versions: bool = True) -> dict:
+    """Worker-friendly wrapper: canonical bundle JSON in, result dict out
+    (with the advisory ``engine_note`` key when there is one)."""
     try:
         bundle = RegressionBundle.from_json(document)
     except (ValueError, KeyError) as error:
@@ -257,9 +246,11 @@ def replay_bundle_json(
             status="invalid-run",
             detail=f"unreadable bundle: {error}",
         ).to_dict()
-    return replay_bundle(
-        bundle, check_versions=check_versions, engine=engine
-    ).to_dict()
+    result = replay_bundle(bundle, check_versions=check_versions)
+    data = result.to_dict()
+    if result.engine_note:
+        data["engine_note"] = result.engine_note
+    return data
 
 
 @dataclass
@@ -276,6 +267,11 @@ class DriftReport:
     @property
     def clean(self) -> bool:
         return not self.drifted
+
+    @property
+    def compile_errors(self) -> list:
+        """Sorted advisory compiler-crash notes (never in the bytes)."""
+        return sorted({r.engine_note for r in self.results if r.engine_note})
 
     def sorted_results(self) -> list:
         return sorted(self.results, key=lambda r: r.bundle_id)
@@ -328,17 +324,12 @@ def replay_store(
     store: RegressionStore,
     check_versions: bool = True,
     bundle_ids: Optional[list] = None,
-    engine: str = "",
 ) -> DriftReport:
     """Sequentially replay a store (or a subset of its bundle ids)."""
     report = DriftReport()
     for bundle_id in bundle_ids if bundle_ids is not None else store.ids():
         report.results.append(
-            replay_bundle(
-                store.load(bundle_id),
-                check_versions=check_versions,
-                engine=engine,
-            )
+            replay_bundle(store.load(bundle_id), check_versions=check_versions)
         )
     return report
 

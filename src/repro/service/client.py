@@ -248,7 +248,6 @@ class ServiceClient:
         args: Sequence = (),
         stdin: Sequence = (),
         canary: bool = False,
-        engine: str = "ast",
     ) -> dict:
         return self._request(
             "POST",
@@ -259,6 +258,5 @@ class ServiceClient:
                 "args": list(args),
                 "stdin": list(stdin),
                 "canary": canary,
-                "engine": engine,
             },
         )

@@ -214,7 +214,6 @@ class ServiceEngine:
         self,
         rows=None,
         defenses: Sequence[str] = (),
-        engine: str = "ast",
         seed: int = 1,
         regress_dir: Optional[str] = None,
         step_budget: int = 50_000,
@@ -244,7 +243,6 @@ class ServiceEngine:
                     source=row.source,
                     stdin=tuple(row.stdin),
                     defense=name,
-                    engine="" if row.kind == "attack" else engine,
                     step_budget=step_budget,
                 ),
                 priority=NORMAL_PRIORITY,
@@ -274,7 +272,6 @@ class ServiceEngine:
         args: Sequence = (),
         stdin: Sequence = (),
         canary: bool = False,
-        engine: str = "ast",
     ) -> dict:
         """Run MiniC++ source on a fresh simulated machine."""
         return self.scheduler.run(
@@ -284,7 +281,6 @@ class ServiceEngine:
                 args=tuple(args),
                 stdin=tuple(stdin),
                 canary=canary,
-                engine=engine,
             ),
             priority=HIGH_PRIORITY,
         )
@@ -299,7 +295,6 @@ class ServiceEngine:
         canary: bool = True,
         minimize: bool = True,
         max_corpus: int = 256,
-        engine: str = "ast",
         batch_size: int = 50,
         batch_timeout: float = 120.0,
         store=None,
@@ -328,7 +323,6 @@ class ServiceEngine:
             canary=canary,
             minimize=minimize,
             max_corpus=max_corpus,
-            engine=engine,
         )
         return run_campaign(
             config,
@@ -351,7 +345,6 @@ class ServiceEngine:
         chunk_size: int = 8,
         check_versions: bool = True,
         timeout: float = 300.0,
-        engine: str = "ast",
     ):
         """Replay a regression store over the worker pool.
 
@@ -384,7 +377,6 @@ class ServiceEngine:
                 RegressReplayJob(
                     bundles=tuple(chunk),
                     check_versions=check_versions,
-                    engine=engine,
                 ),
                 priority=NORMAL_PRIORITY,
                 timeout=timeout,

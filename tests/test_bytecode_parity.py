@@ -1,19 +1,32 @@
-"""The engine parity gate: the bytecode VM must agree with the AST
-interpreter on every committed corpus — verdicts, triage, events, step
-counts — with zero drift.  This is the tier-1 contract that lets the
-fuzzing stack trust the fast engine.
+"""The engine parity gate: production (the bytecode VM) must agree with
+the reference AST interpreter on every committed corpus and on
+generated programs — verdicts, triage, events, faults, step counts,
+outputs and stored bytes — with zero drift.  This is the tier-1
+contract that lets every production path trust the fast engine.
+
+The reference is :func:`tests.reference.reference_interpreter`: the
+same production code paths with the compiler declining every source.
 """
 
+import random
 from pathlib import Path
 
 import pytest
 
-from repro.execution import run_source
-from repro.execution.vm import BytecodeVM, compiled_for, reset_cache
-from repro.fuzz import OracleConfig, run_oracles
-from repro.fuzz.seeds import seed_inputs
+from repro.execution import BytecodeVM, compiled_for, reset_cache, run_program
+from repro.fuzz import run_oracles
+from repro.fuzz.mutator import mutate
+from repro.fuzz.oracles import (
+    DEFAULT_STDIN,
+    DEFAULT_STEP_BUDGET,
+    _entry_plan,
+    observe_run,
+)
+from repro.fuzz.seeds import corpus_seeds, generator_seeds, seed_inputs
 from repro.regress import RegressionStore, replay_store
-from repro.runtime import Machine
+from repro.runtime import CanaryPolicy, Machine, MachineConfig
+
+from .reference import reference_interpreter
 
 REPO = Path(__file__).resolve().parent.parent
 REGRESS_DIR = REPO / "corpus" / "regress"
@@ -30,22 +43,17 @@ def _regress_bundles():
 
 
 def _run_engines(source, stdin=()):
-    """One (outcome, events) observation per engine, exceptions included."""
+    """One (outcome, events) observation of ``main`` on production and
+    on the reference, exceptions included."""
+    compiled, note = compiled_for(source)
+    assert compiled is not None, f"not compilable: {note}"
 
-    def run_one(use_vm):
+    def run_one():
         machine = Machine()
         try:
-            if use_vm:
-                compiled, note = compiled_for(source)
-                assert compiled is not None, f"not compilable: {note}"
-                executor = BytecodeVM(compiled, machine=machine)
-                if stdin:
-                    machine.stdin.feed(*stdin)
-                outcome = executor.run("main", 0, 0)
-            else:
-                executor, outcome = run_source(
-                    source, machine=machine, stdin=stdin
-                )
+            executor, outcome, _engine = run_program(
+                source, machine=machine, stdin=stdin
+            )
             return (
                 "ok",
                 outcome.return_value,
@@ -58,7 +66,9 @@ def _run_engines(source, stdin=()):
         except Exception as error:
             return ("exc", type(error).__name__, str(error), tuple(machine.events))
 
-    return run_one(False), run_one(True)
+    with reference_interpreter():
+        reference = run_one()
+    return reference, run_one()
 
 
 class TestPackageCorpusParity:
@@ -74,22 +84,24 @@ class TestPackageCorpusParity:
 
 
 class TestRegressCorpusParity:
-    """The whole committed regression store replays with zero drift
-    under the both-engine oracle — verdict, fingerprint, and triage."""
+    """The whole committed regression store replays with zero drift on
+    both engines — verdict, fingerprint, and triage."""
 
     def test_both_engine_sweep_is_clean(self):
         reset_cache()
         store = RegressionStore(REGRESS_DIR, create=False)
-        drift = replay_store(store, engine="both")
+        drift = replay_store(store)
         assert drift.clean, drift.render()
         assert drift.counts() == {"ok": len(store.ids())}
+        with reference_interpreter():
+            reference = replay_store(store)
+        assert drift.to_json() == reference.to_json()
 
     def test_bundles_agree_per_oracle_verdict(self):
-        config_ast = OracleConfig(engine="ast")
-        config_vm = OracleConfig(engine="bytecode")
         for bundle in _regress_bundles():
-            on_ast = run_oracles(bundle.source, bundle.stdin, config_ast)
-            on_vm = run_oracles(bundle.source, bundle.stdin, config_vm)
+            with reference_interpreter():
+                on_ast = run_oracles(bundle.source, bundle.stdin)
+            on_vm = run_oracles(bundle.source, bundle.stdin)
             assert on_ast.valid == on_vm.valid
             assert on_ast.dynamic.events == on_vm.dynamic.events
             assert on_ast.dynamic.fault == on_vm.dynamic.fault
@@ -109,6 +121,76 @@ class TestSeedFamilyParity:
     def test_seed_zero_drift(self, fuzz_input):
         ast_run, vm_run = _run_engines(fuzz_input.source, fuzz_input.stdin)
         assert ast_run == vm_run
+
+
+def _generated_inputs():
+    """Generator families over several seeds, plus a deterministic chain
+    of mutants from every seed — the programs a campaign executes."""
+    inputs = [inp for seed in (3, 5, 11, 13) for inp in generator_seeds(seed)]
+    rng = random.Random("engine-parity/mutants")
+    for parent in generator_seeds(7) + corpus_seeds():
+        current = parent
+        for _ in range(3):
+            mutant = mutate(rng, current)
+            if mutant is not None:
+                inputs.append(mutant)
+                current = mutant
+    return inputs
+
+
+def _observe(fuzz_input):
+    """``(ran on the VM, observation)`` of one oracle run: its events,
+    fault, steps, outputs and stored bytes (None when no entry is
+    runnable)."""
+    plan = _entry_plan(fuzz_input.source)
+    if plan is None:
+        return False, None
+    entry, args = plan
+    machine = Machine(MachineConfig(canary_policy=CanaryPolicy.RANDOM))
+    run = observe_run(
+        machine,
+        fuzz_input.source,
+        entry,
+        args,
+        tuple(fuzz_input.stdin) or DEFAULT_STDIN,
+        DEFAULT_STEP_BUDGET,
+    )
+    executor = run.executor
+    return isinstance(executor, BytecodeVM), (
+        sorted(run.events),
+        repr(run.error),
+        executor and executor.steps,
+        executor and tuple(map(str, executor.outputs)),
+        executor and tuple((name, bytes(data)) for name, data in executor.stored),
+        tuple(map(str, machine.events)),
+    )
+
+
+class TestGeneratedProgramParity:
+    """Production and reference agree on generated programs and their
+    mutants, not only on the committed corpora."""
+
+    def test_generated_and_mutated_programs_zero_drift(self):
+        reset_cache()
+        inputs = _generated_inputs()
+        families = {inp.family for inp in inputs}
+        assert len(inputs) >= 60 and len(families) >= 7
+        mutants = [inp for inp in inputs if not inp.label]
+        assert len(mutants) >= 20
+        drifted = []
+        runnable = on_vm = 0
+        for fuzz_input in inputs:
+            vm_ran, production = _observe(fuzz_input)
+            with reference_interpreter():
+                vm_ran_on_reference, reference = _observe(fuzz_input)
+            assert not vm_ran_on_reference
+            runnable += production is not None
+            on_vm += vm_ran
+            if production != reference:
+                drifted.append((fuzz_input.family, fuzz_input.source))
+        assert not drifted, drifted[:3]
+        # Not vacuous: every runnable program really ran on the VM.
+        assert runnable >= 100 and on_vm == runnable
 
 
 class TestCorpusCompiles:

@@ -73,6 +73,10 @@ class TestEndpoints:
             assert attack["summary"] == "ATTACK-WINS"
             result = await client.execute("int main(int a, char b) { return 9; }")
             assert result["return_value"] == 9
+            assert result["engine"] == "bytecode"
+            # The retired engine selector is ignored like any unknown key.
+            legacy = await client.execute("int main() { return 4; }", engine="qemu")
+            assert legacy["return_value"] == 4
 
         run_cluster(scenario)
 

@@ -21,15 +21,17 @@ from repro.execution import (
     compiled_for,
     disassemble,
     reset_cache,
+    run_program,
     run_source,
-    run_source_bytecode,
 )
 from repro.execution import vm as vm_module
 from repro.execution.vm import source_digest
-from repro.fuzz import OracleConfig, run_oracles
+from repro.fuzz import run_oracles
 from repro.fuzz.seeds import generator_seeds
 from repro.memory.segments import SegmentKind
 from repro.runtime import Machine
+
+from .reference import reference_interpreter
 
 RETURN_41 = "int main(int argc, int argv) {\n  return 40 + 1;\n}\n"
 
@@ -61,7 +63,7 @@ def _observe(source, stdin, use_vm, entry="main", args=(0, 0)):
     machine = Machine()
     try:
         if use_vm:
-            _, outcome, engine = run_source_bytecode(
+            _, outcome, engine = run_program(
                 source, entry=entry, args=args, machine=machine, stdin=stdin
             )
             assert engine == "bytecode"
@@ -153,7 +155,7 @@ class TestCompiledCache:
                 UnsupportedConstruct("no")
             ),
         )
-        _, outcome, engine = run_source_bytecode(RETURN_41)
+        _, outcome, engine = run_program(RETURN_41)
         assert engine == "ast"
         assert outcome.return_value == 41
 
@@ -176,7 +178,7 @@ class TestVMSemantics:
             ast_run = _observe(spin, (), False)
             machine = Machine()
             with pytest.raises(SimulatedTimeout) as caught:
-                run_source_bytecode(spin, machine=machine, step_budget=budget)
+                run_program(spin, machine=machine, step_budget=budget)
             assert ast_run[0] == "exc" and ast_run[1] == "SimulatedTimeout"
             assert caught.value.args and str(budget) in str(caught.value)
 
@@ -204,10 +206,9 @@ class TestTaintSourceParity:
         "seed", _taint_seeds(), ids=lambda s: f"taint-{s.label}"
     )
     def test_taint_family_oracle_parity(self, seed):
-        on_ast = run_oracles(seed.source, seed.stdin, OracleConfig(engine="ast"))
-        on_vm = run_oracles(
-            seed.source, seed.stdin, OracleConfig(engine="bytecode")
-        )
+        with reference_interpreter():
+            on_ast = run_oracles(seed.source, seed.stdin)
+        on_vm = run_oracles(seed.source, seed.stdin)
         assert on_vm.dynamic.engine_note == ""
         assert on_ast.valid == on_vm.valid
         assert on_ast.dynamic.events == on_vm.dynamic.events

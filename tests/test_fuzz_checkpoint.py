@@ -163,6 +163,29 @@ class TestKillAndResume:
                 engine.close()
         assert report.to_json() == control
 
+    def test_legacy_engine_checkpoint_resumes_byte_identical(
+        self, tmp_path, control
+    ):
+        # Checkpoints written while the engine was selectable carry an
+        # "engine" config key and an "engine_drift" counter, under a
+        # valid digest.  They resume as if the key were never there.
+        with pytest.raises(CampaignInterrupted) as info:
+            run_campaign(
+                CONFIG, batch_size=BATCH, checkpoint_dir=tmp_path,
+                stop_after_rounds=1,
+            )
+        path = info.value.checkpoint_path
+        legacy = CampaignCheckpoint.from_json(path.read_text())
+        legacy.config["engine"] = "both"
+        legacy.counters["engine_drift"] = 0
+        path.write_text(legacy.to_json())
+        assert '"engine": "both"' in path.read_text()
+
+        report = run_campaign(
+            CONFIG, batch_size=BATCH, checkpoint_dir=tmp_path, resume=True
+        )
+        assert report.to_json() == control
+
     def test_stop_event_interrupts_before_first_round(self, tmp_path):
         stop = threading.Event()
         stop.set()

@@ -2,7 +2,8 @@
 
 The acceptance property is byte-identity: the same sweep must encode to
 the same bytes sequentially, fanned over the service engine at any
-worker count, and on either execution engine.  These tests pin that on
+worker count, and on the bytecode VM and the reference interpreter
+alike.  These tests pin that on
 a small row subset (the full sweep is CI's job) plus the order-
 independence and index fixes that rode along.
 """
@@ -25,6 +26,8 @@ from repro.matrix import (
     seed_rows,
 )
 from repro.service import ServiceEngine
+
+from .reference import reference_interpreter
 
 #: Small-but-representative slice: three gallery attacks, two program
 #: rows, and the defenses whose cells exercise every outcome kind.
@@ -77,10 +80,9 @@ class TestByteIdentity:
             )
 
     def test_bytecode_engine_matches_ast(self, subset_report):
-        bytecode = run_sweep(
-            rows=_subset_rows(), defenses=SUBSET_DEFENSES, engine="bytecode"
-        )
-        assert canonical_report_json(bytecode) == canonical_report_json(
+        with reference_interpreter():
+            reference = run_sweep(rows=_subset_rows(), defenses=SUBSET_DEFENSES)
+        assert canonical_report_json(reference) == canonical_report_json(
             subset_report
         )
 

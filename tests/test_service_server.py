@@ -73,12 +73,15 @@ class TestEndpoints:
         response = client.execute("int main(int a, char b) { return 9; }")
         assert response["return_value"] == 9
         assert response["died"] is False
-        assert response["engine"] == "ast"
+        assert response["engine"] == "bytecode"
 
     def test_exec_bytecode_engine(self, service):
+        # The retired engine selector is ignored: production runs the VM.
         client, _, _ = service
-        response = client.execute(
-            "int main(int a, char b) { return 9; }", engine="bytecode"
+        response = client._request(
+            "POST",
+            "/exec",
+            {"source": "int main(int a, char b) { return 9; }", "engine": "ast"},
         )
         assert response["return_value"] == 9
         assert response["engine"] == "bytecode"
@@ -209,11 +212,9 @@ class TestErrorHandling:
             client.matrix(attacks=["bogus"])
         assert excinfo.value.status == 400
 
-    def test_unknown_exec_engine_400(self, service):
+    def test_unknown_exec_engine_is_ignored(self, service):
         client, _, _ = service
-        with pytest.raises(ServiceError) as excinfo:
-            client._request(
-                "POST", "/exec", {"source": "int main() {}", "engine": "qemu"}
-            )
-        assert excinfo.value.status == 400
-        assert "engine" in str(excinfo.value)
+        response = client._request(
+            "POST", "/exec", {"source": "int main() { return 3; }", "engine": "qemu"}
+        )
+        assert response["return_value"] == 3
