@@ -18,14 +18,15 @@ separate test pins the failure-path determinism number: a sweep with a
 shard killed mid-flight produces bytes identical to a no-fault run.
 """
 
-import asyncio
 import json
 import os
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from conftest import print_table
 
-from repro.cluster import ClusterRouter, InProcessShard
+from repro.cluster import ClusterRouter, Shard
 from repro.fuzz import seed_inputs
 from repro.service.jobs import AnalyzeJob, FuzzCampaignJob
 from repro.workloads import corpus_sources
@@ -70,28 +71,22 @@ def _fuzz_jobs():
 
 
 class _Cluster:
-    """A live router on a private event loop, caching disabled."""
+    """A live router, caching disabled."""
 
     def __init__(self, shard_count: int):
-        self.loop = asyncio.new_event_loop()
-        self.router = self.loop.run_until_complete(self._build(shard_count))
-
-    @staticmethod
-    async def _build(shard_count: int) -> ClusterRouter:
         shards = [
-            InProcessShard(
+            Shard.in_process(
                 f"s{index}", workers=1, backend=_BACKEND, use_cache=False
             )
             for index in range(shard_count)
         ]
-        return ClusterRouter(shards, vnodes=64)
+        self.router = ClusterRouter(shards, vnodes=64)
 
     def sweep(self, jobs):
-        return self.loop.run_until_complete(self.router.sweep(jobs))
+        return self.router.sweep(jobs)
 
     def close(self):
-        self.loop.run_until_complete(self.router.close())
-        self.loop.close()
+        self.router.close()
 
 
 def _record_scaling(benchmark, workload: str, shard_count: int, job_count: int):
@@ -178,20 +173,11 @@ def test_e23_kill_one_shard_keeps_report_bytes():
 
     cluster = _Cluster(3)
     try:
-
-        async def killed_sweep():
-            async def kill_soon():
-                await asyncio.sleep(0.02)
-                cluster.router.kill_shard("s1")
-
-            reports, _ = await asyncio.gather(
-                cluster.router.sweep(jobs), kill_soon()
-            )
-            return reports
-
-        survived = json.dumps(
-            cluster.loop.run_until_complete(killed_sweep()), sort_keys=True
-        )
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            sweep = pool.submit(cluster.sweep, jobs)
+            time.sleep(0.02)
+            cluster.router.kill_shard("s1")
+            survived = json.dumps(sweep.result(), sort_keys=True)
         redispatched = cluster.router.metrics.snapshot()["counters"].get(
             "cluster.redispatches", 0
         )

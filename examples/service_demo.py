@@ -57,7 +57,7 @@ def main() -> None:
         response = client.attacks(attack="overflow-via-construction",
                                   env="checked-placement")
         print("via HTTP:", response["name"], "→", response["summary"])
-        snapshot = client.metrics()
+        snapshot = client.metrics_snapshot()
         print("jobs succeeded:",
               snapshot["counters"]["scheduler.jobs_succeeded"],
               "| cache:", snapshot["cache"]["hits"], "hits /",

@@ -334,6 +334,36 @@ def exec_main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
+def _add_server_args(
+    parser, port: int, workers: int, scope: str = "", cache_note: str = ""
+) -> None:
+    """The listen and engine flags ``repro-serve`` and ``repro-cluster`` share."""
+    parser.add_argument("--host", default="127.0.0.1", help="bind address")
+    parser.add_argument(
+        "--port", type=int, default=port, help="bind port (0 = ephemeral)"
+    )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=workers,
+        help=f"worker pool size{scope} (default: {workers})",
+    )
+    parser.add_argument(
+        "--backend",
+        choices=("thread", "process"),
+        default="thread",
+        help=f"worker pool backend{scope} (processes buy CPU parallelism)",
+    )
+    parser.add_argument(
+        "--cache-dir",
+        default=".repro-cache",
+        help=f"on-disk result cache directory (default: .repro-cache){cache_note}",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true", help=f"disable the result cache{scope}"
+    )
+
+
 def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``repro-serve``."""
     from .service import ServiceEngine, create_server
@@ -342,29 +372,7 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         prog="repro-serve",
         description="Serve the analysis/attack job engine over a JSON API",
     )
-    parser.add_argument("--host", default="127.0.0.1", help="bind address")
-    parser.add_argument(
-        "--port", type=int, default=8071, help="bind port (0 = ephemeral)"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=4, help="worker pool size (default: 4)"
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker pool backend (processes buy CPU parallelism)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=".repro-cache",
-        help="on-disk result cache directory (default: .repro-cache)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the result cache entirely",
-    )
+    _add_server_args(parser, port=8071, workers=4)
     parser.add_argument(
         "--fault-plan",
         default=None,
@@ -412,53 +420,51 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as error:
         engine.close()
         return _fail(f"cannot bind {args.host}:{args.port}: {error}")
-    host, port = server.server_address[:2]
+    host = server.server_address[0]
     shard_note = f" [shard {args.shard_id}]" if args.shard_id else ""
-    print(
-        f"repro-serve listening on http://{host}:{port}{shard_note} "
+    return _serve_until_interrupt(
+        server,
+        f"repro-serve listening on http://{host}:{server.port}{shard_note} "
         f"({args.workers} {args.backend} workers, cache "
         f"{'off' if args.no_cache else args.cache_dir})",
-        flush=True,
+        fault_plan,
+        engine.close,
     )
+
+
+def _serve_until_interrupt(server, banner: str, fault_plan, release) -> int:
+    """Print the banner, serve until Ctrl-C, then close and ``release()``."""
+    print(banner, flush=True)
     if fault_plan is not None:
-        print(f"fault plan armed: {fault_plan.describe()}")
+        print(f"fault plan armed: {fault_plan.describe()}", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
         print("draining...")
     finally:
-        server.shutdown()
-        server.server_close()
-        engine.close()
+        server.close()
+        release()
     return 0
 
 
 def cluster_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``repro-cluster``."""
-    import asyncio
-
     parser = argparse.ArgumentParser(
         prog="repro-cluster",
         description=(
             "Serve the job engine from N consistent-hash shards behind "
-            "an asyncio front-end with tiered caching and tenant quotas"
+            "an HTTP front-end with tiered caching and tenant quotas"
         ),
     )
-    parser.add_argument("--host", default="127.0.0.1", help="bind address")
-    parser.add_argument(
-        "--port", type=int, default=8072, help="bind port (0 = ephemeral)"
+    _add_server_args(
+        parser,
+        port=8072,
+        workers=2,
+        scope=" on every shard",
+        cache_note="; shared by all shards, the cluster's second cache tier",
     )
     parser.add_argument(
         "--shards", type=int, default=3, help="shard count (default: 3)"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2, help="workers per shard (default: 2)"
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="per-shard worker pool backend",
     )
     parser.add_argument(
         "--shard-mode",
@@ -474,19 +480,6 @@ def cluster_main(argv: Optional[Sequence[str]] = None) -> int:
         type=int,
         default=64,
         help="virtual nodes per shard on the hash ring (default: 64)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=".repro-cache",
-        help=(
-            "shared on-disk result cache directory; all shards read and "
-            "write it, forming the cluster's second cache tier"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable result caching on every shard",
     )
     parser.add_argument(
         "--quota-capacity",
@@ -525,7 +518,13 @@ def cluster_main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail("--vnodes must be >= 1")
     if args.quota_capacity <= 0 or args.quota_refill <= 0:
         return _fail("--quota-capacity and --quota-refill must be > 0")
-    from .cluster import QuotaManager, parse_override
+    from .cluster import (
+        ClusterRouter,
+        ClusterServer,
+        QuotaManager,
+        build_shards,
+        parse_override,
+    )
 
     overrides = {}
     for spec in args.quota:
@@ -545,58 +544,35 @@ def cluster_main(argv: Optional[Sequence[str]] = None) -> int:
         except ValueError as error:
             return _fail(f"bad --fault-plan: {error}")
 
-    async def _serve() -> int:
-        from .cluster import (
-            ClusterRouter,
-            build_shards,
-            create_cluster_server,
-        )
-
-        shards = await build_shards(
-            args.shards,
-            mode=args.shard_mode,
-            workers=args.workers,
-            backend=args.backend,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            use_cache=not args.no_cache,
-            fault_plan=fault_plan,
-        )
-        router = ClusterRouter(
-            shards, vnodes=args.vnodes, fault_plan=fault_plan
-        )
-        quotas = QuotaManager(
-            capacity=args.quota_capacity,
-            refill_rate=args.quota_refill,
-            overrides=overrides,
-        )
-        try:
-            server = await create_cluster_server(
-                router, quotas=quotas, host=args.host, port=args.port
-            )
-        except OSError as error:
-            await router.close()
-            return _fail(f"cannot bind {args.host}:{args.port}: {error}")
-        print(
-            f"repro-cluster listening on http://{args.host}:{server.port} "
-            f"({args.shards} {args.shard_mode} shards x {args.workers} "
-            f"{args.backend} workers, {args.vnodes} vnodes, cache "
-            f"{'off' if args.no_cache else args.cache_dir})",
-            flush=True,
-        )
-        if fault_plan is not None:
-            print(f"fault plan armed: {fault_plan.describe()}", flush=True)
-        try:
-            await server.serve_forever()
-        except (KeyboardInterrupt, asyncio.CancelledError):
-            print("draining...")
-        finally:
-            await server.close()
-        return 0
-
+    shards = build_shards(
+        args.shards,
+        mode=args.shard_mode,
+        workers=args.workers,
+        backend=args.backend,
+        cache_dir=None if args.no_cache else args.cache_dir,
+        use_cache=not args.no_cache,
+        fault_plan=fault_plan,
+    )
+    router = ClusterRouter(shards, vnodes=args.vnodes, fault_plan=fault_plan)
+    quotas = QuotaManager(
+        capacity=args.quota_capacity,
+        refill_rate=args.quota_refill,
+        overrides=overrides,
+    )
     try:
-        return asyncio.run(_serve())
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        return 0
+        server = ClusterServer(router, quotas=quotas, host=args.host, port=args.port)
+    except OSError as error:
+        router.close()
+        return _fail(f"cannot bind {args.host}:{args.port}: {error}")
+    return _serve_until_interrupt(
+        server,
+        f"repro-cluster listening on http://{args.host}:{server.port} "
+        f"({args.shards} {args.shard_mode} shards x {args.workers} "
+        f"{args.backend} workers, {args.vnodes} vnodes, cache "
+        f"{'off' if args.no_cache else args.cache_dir})",
+        fault_plan,
+        router.close,
+    )
 
 
 def _load_report(path: str):

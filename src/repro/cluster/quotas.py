@@ -12,7 +12,7 @@ deterministic fake clock instead of sleeps.
 When a bucket cannot cover a request the manager answers with the
 exact ``retry_after`` seconds until enough tokens exist; the HTTP
 layer surfaces that as ``429`` with a ``Retry-After`` header and a
-``retry_after`` JSON field the async client honors.
+``retry_after`` JSON field the client honors.
 """
 
 from __future__ import annotations

@@ -1,19 +1,16 @@
 """Cluster shards: the units the consistent-hash ring routes across.
 
-A shard is one :class:`~repro.service.engine.ServiceEngine` plus the
-async seam the router needs: run a job, probe/warm the result cache,
-drain, die.  Two implementations share that seam:
+A :class:`Shard` is one job engine plus the lifecycle the router needs:
+run a job, probe/warm the result cache, drain, die.  Its ``backend``
+answers the :class:`~repro.service.engine.ServiceEngine` methods the
+shard dispatches to, and is one of:
 
-:class:`InProcessShard`
-    The engine lives in this process; blocking scheduler calls run on
-    a shard-owned thread pool so the router's event loop never blocks.
-    This is what tests and the default ``repro-cluster`` use.
-
-:class:`SubprocessShard`
-    The engine lives in a child ``repro-serve`` process (launched as
-    ``python -m repro.service --shard-id ...``) and is reached through
-    :class:`~repro.cluster.client.AsyncServiceClient` — the deployment
-    shape, where shard loss is a real process death.
+* a ``ServiceEngine`` in this process (:meth:`Shard.in_process`), what
+  tests and the default ``repro-cluster`` use;
+* a :class:`~repro.service.client.ServiceClient` to a child
+  ``python -m repro.service --shard-id ...`` process
+  (:meth:`Shard.spawn`), the deployment shape, where shard loss is a
+  real process death.
 
 Lifecycle: ``active`` shards accept work; ``draining`` shards finish
 what they already accepted but reject new submissions (the router
@@ -22,24 +19,32 @@ stops routing to them); ``dead`` shards reject everything with
 a killed shard is *lost* (the router re-dispatches it to the ring
 successor), which is exactly the failure the determinism tests pin
 down.
+
+Router threads call a shard concurrently; at most ``workers + 4`` jobs
+run on one shard at a time, so a sweep never overflows the engine's
+bounded queue, and ``inflight``/``completed`` change under a lock.
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 import re
+import select
+import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Tuple
+import threading
+from contextlib import contextmanager
+from typing import Optional
 
+from ..service.client import ServiceClient, ServiceUnavailable
 from ..service.engine import ServiceEngine
 from ..service.jobs import Job
-from .client import AsyncServiceClient
 
 ACTIVE = "active"
 DRAINING = "draining"
 DEAD = "dead"
+
+_BANNER = re.compile(r"listening on http://[^:]+:(\d+)")
 
 
 class ShardLost(RuntimeError):
@@ -52,21 +57,39 @@ class ShardLost(RuntimeError):
         self.shard_id = shard_id
 
 
-class InProcessShard:
-    """A ServiceEngine running inside the router's process."""
+class Shard:
+    """One engine behind the ring, in this process or a child process."""
 
     def __init__(
         self,
+        shard_id: str,
+        backend,
+        workers: int,
+        process: Optional[subprocess.Popen] = None,
+        port: Optional[int] = None,
+    ):
+        self.shard_id = shard_id
+        self.backend = backend
+        self.process = process
+        self.port = port
+        self.state = ACTIVE
+        self.inflight = 0
+        self.completed = 0
+        self._lock = threading.Condition()
+        self._slots = threading.BoundedSemaphore(workers + 4)
+
+    @classmethod
+    def in_process(
+        cls,
         shard_id: str,
         workers: int = 2,
         backend: str = "thread",
         cache_dir: Optional[str] = None,
         use_cache: bool = True,
         fault_plan=None,
-    ):
-        self.shard_id = shard_id
-        self.state = ACTIVE
-        self.engine = ServiceEngine(
+    ) -> "Shard":
+        """A shard whose ``ServiceEngine`` lives in this process."""
+        engine = ServiceEngine(
             workers=workers,
             backend=backend,
             cache_dir=cache_dir,
@@ -74,277 +97,175 @@ class InProcessShard:
             fault_plan=fault_plan,
             shard_id=shard_id,
         )
-        # +4 headroom: cache probes and health checks must not queue
-        # behind a full complement of blocking job runs
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers + 4,
-            thread_name_prefix=f"shard-{shard_id}",
-        )
-        self.inflight = 0
-        self.completed = 0
+        return cls(shard_id, engine, workers)
 
-    async def _call(self, fn, *args):
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._executor, fn, *args)
-
-    # -- the shard seam ----------------------------------------------------
-
-    async def run_job(self, job: Job) -> dict:
-        """Run one job to completion on this shard's engine.
-
-        Raises :class:`ShardLost` if the shard is dead on arrival *or*
-        dies mid-run — a result computed by a crashing shard is
-        discarded, exactly as a process death would lose it.
-        """
-        if self.state == DEAD:
-            raise ShardLost(self.shard_id, "submit after death")
-        if self.state == DRAINING:
-            raise ShardLost(self.shard_id, "draining, not accepting work")
-        self.inflight += 1
-        try:
-            result = await self._call(
-                self.engine.scheduler.run, job
-            )
-        finally:
-            self.inflight -= 1
-        if self.state == DEAD:
-            raise ShardLost(self.shard_id, "died while running job")
-        self.completed += 1
-        return result
-
-    async def cache_probe(self, key: str) -> Tuple[Optional[dict], Optional[str]]:
-        if self.state == DEAD:
-            return None, None
-        return await self._call(self.engine.cache_lookup, key)
-
-    async def cache_put(self, key: str, value: dict) -> bool:
-        if self.state == DEAD:
-            return False
-        return await self._call(self.engine.cache_store, key, value)
-
-    async def health(self) -> dict:
-        if self.state == DEAD:
-            raise ShardLost(self.shard_id)
-        return await self._call(self.engine.health)
-
-    async def metrics_snapshot(self) -> dict:
-        return await self._call(self.engine.metrics_snapshot)
-
-    async def metrics_prometheus(self, emit_types: bool = True) -> str:
-        return await self._call(self.engine.metrics_prometheus, emit_types)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start_drain(self) -> None:
-        """Stop accepting work; already-accepted jobs run to completion."""
-        if self.state == ACTIVE:
-            self.state = DRAINING
-
-    def kill(self) -> None:
-        """Simulate a crash: every current and future request is lost."""
-        self.state = DEAD
-
-    async def close(self) -> None:
-        self.state = DEAD
-        await asyncio.get_running_loop().run_in_executor(
-            None, self.engine.close
-        )
-        self._executor.shutdown(wait=False)
-
-    def describe(self) -> dict:
-        return {
-            "shard_id": self.shard_id,
-            "mode": "inprocess",
-            "state": self.state,
-            "inflight": self.inflight,
-            "completed": self.completed,
-        }
-
-
-#: job KIND → repro-serve endpoint, for shards reached over HTTP.
-_KIND_PATHS = {
-    "analyze": "/analyze",
-    "attack": "/attacks",
-    "exec": "/exec",
-}
-
-_BANNER = re.compile(r"listening on http://[^:]+:(\d+)")
-
-
-class SubprocessShard:
-    """A ``repro-serve`` child process reached over the async client."""
-
-    def __init__(
-        self,
+    @classmethod
+    def spawn(
+        cls,
         shard_id: str,
         workers: int = 2,
         backend: str = "thread",
         cache_dir: Optional[str] = None,
         use_cache: bool = True,
-        host: str = "127.0.0.1",
-        startup_timeout: float = 30.0,
-    ):
-        self.shard_id = shard_id
-        self.workers = workers
-        self.backend = backend
-        self.cache_dir = cache_dir
-        self.use_cache = use_cache
-        self.host = host
-        self.startup_timeout = startup_timeout
-        self.state = ACTIVE
-        self.port: Optional[int] = None
-        self.inflight = 0
-        self.completed = 0
-        self._process: Optional[asyncio.subprocess.Process] = None
-        self._client: Optional[AsyncServiceClient] = None
-
-    async def start(self) -> None:
-        """Launch the child and wait for its listening banner."""
+    ) -> "Shard":
+        """Launch a child ``repro-serve`` and wait 30 s for its banner."""
         argv = [
             sys.executable,
             "-m",
             "repro.service",
             "--host",
-            self.host,
+            "127.0.0.1",
             "--port",
             "0",
             "--workers",
-            str(self.workers),
+            str(workers),
             "--backend",
-            self.backend,
+            backend,
             "--shard-id",
-            self.shard_id,
+            shard_id,
         ]
-        if self.use_cache and self.cache_dir:
-            argv += ["--cache-dir", self.cache_dir]
-        elif not self.use_cache:
+        if use_cache and cache_dir:
+            argv += ["--cache-dir", cache_dir]
+        elif not use_cache:
             argv += ["--no-cache"]
         env = dict(os.environ)
         src_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [src_root, env.get("PYTHONPATH")])
         )
-        self._process = await asyncio.create_subprocess_exec(
-            *argv,
-            stdout=asyncio.subprocess.PIPE,
-            stderr=asyncio.subprocess.DEVNULL,
-            env=env,
+        process = subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env
         )
-        assert self._process.stdout is not None
-        try:
-            banner = await asyncio.wait_for(
-                self._process.stdout.readline(), timeout=self.startup_timeout
-            )
-        except asyncio.TimeoutError:
-            await self._terminate()
-            raise ShardLost(self.shard_id, "no startup banner") from None
+        ready, _, _ = select.select([process.stdout], [], [], 30.0)
+        banner = process.stdout.readline() if ready else b""
         match = _BANNER.search(banner.decode(errors="replace"))
         if match is None:
-            await self._terminate()
-            raise ShardLost(
-                self.shard_id, f"unexpected banner {banner!r}"
-            )
-        self.port = int(match.group(1))
-        self._client = AsyncServiceClient(self.host, self.port)
-        await self._client.healthz()  # fail fast if the API is not up
+            _terminate(process)
+            raise ShardLost(shard_id, f"unexpected startup banner {banner!r}")
+        port = int(match.group(1))
+        client = ServiceClient(
+            f"http://127.0.0.1:{port}",
+            connect_timeout=5.0,
+            read_timeout=120.0,
+            retries=0,
+        )
+        shard = cls(shard_id, client, workers, process=process, port=port)
+        try:
+            client.healthz()  # fail fast if the API is not up
+        except ServiceUnavailable as error:
+            shard.close()
+            raise ShardLost(shard_id, str(error)) from error
+        return shard
 
     # -- the shard seam ----------------------------------------------------
 
-    def _require_client(self) -> AsyncServiceClient:
-        if self.state == DEAD or self._client is None:
-            raise ShardLost(self.shard_id, "no live process")
-        return self._client
-
-    async def run_job(self, job: Job) -> dict:
-        if self.state == DRAINING:
-            raise ShardLost(self.shard_id, "draining, not accepting work")
-        client = self._require_client()
-        path = _KIND_PATHS.get(job.KIND)
-        if path is None:
-            raise ValueError(
-                f"job kind '{job.KIND}' is not routable to subprocess "
-                f"shards (HTTP protocol exposes: {sorted(_KIND_PATHS)})"
-            )
-        body = {
-            key: list(value) if isinstance(value, tuple) else value
-            for key, value in job.payload().items()
-        }
-        self.inflight += 1
+    @contextmanager
+    def _reach(self):
+        """The live backend; a dead shard or transport failure is ShardLost."""
+        if self.state == DEAD:
+            raise ShardLost(self.shard_id, "no live backend")
         try:
-            return await client.request_json("POST", path, body)
-        except (OSError, asyncio.IncompleteReadError) as error:
+            yield self.backend
+        except (ServiceUnavailable, OSError) as error:
             raise ShardLost(self.shard_id, str(error)) from error
+
+    def run_job(self, job: Job) -> dict:
+        """Run one job to completion on this shard's engine.
+
+        Raises :class:`ShardLost` if the shard is not accepting work
+        *or* dies mid-run — a result computed by a crashing shard is
+        discarded, exactly as a process death would lose it.  Only
+        successful runs count as ``completed``.
+        """
+        with self._lock:
+            if self.state != ACTIVE:
+                raise ShardLost(self.shard_id, f"{self.state}, not accepting work")
+            self.inflight += 1
+        try:
+            with self._slots, self._reach() as backend:
+                result = backend.run_job(job)
         finally:
-            self.inflight -= 1
-            if self.state != DEAD:
-                self.completed += 1
+            with self._lock:
+                self.inflight -= 1
+                self._lock.notify_all()
+        with self._lock:
+            if self.state == DEAD:
+                raise ShardLost(self.shard_id, "died while running job")
+            self.completed += 1
+        return result
 
-    async def cache_probe(self, key: str) -> Tuple[Optional[dict], Optional[str]]:
-        if self.state == DEAD or self._client is None:
-            return None, None
+    def cache_lookup(self, key: str):
+        """``(value, tier)`` from this shard's cache; a lost shard misses."""
         try:
-            response = await self._client.cache_get(key)
-        except (OSError, asyncio.IncompleteReadError):
+            with self._reach() as backend:
+                return backend.cache_lookup(key)
+        except ShardLost:
             return None, None
-        if response is None:
-            return None, None
-        return response.get("result"), response.get("tier")
 
-    async def cache_put(self, key: str, value: dict) -> bool:
-        if self.state == DEAD or self._client is None:
-            return False
+    def cache_store(self, key: str, value: dict) -> bool:
         try:
-            return await self._client.cache_put(key, value)
-        except (OSError, asyncio.IncompleteReadError):
+            with self._reach() as backend:
+                return backend.cache_store(key, value)
+        except ShardLost:
             return False
 
-    async def health(self) -> dict:
-        return await self._require_client().healthz()
+    def metrics_snapshot(self) -> dict:
+        with self._reach() as backend:
+            return backend.metrics_snapshot()
 
-    async def metrics_snapshot(self) -> dict:
-        return await self._require_client().metrics()
-
-    async def metrics_prometheus(self, emit_types: bool = True) -> str:
-        client = self._require_client()
-        suffix = "" if emit_types else "&types=0"
-        status, _, payload = await client.request(
-            "GET", f"/metrics?format=prom{suffix}"
-        )
-        if status != 200:
-            raise ShardLost(self.shard_id, f"metrics status {status}")
-        return payload.decode()
+    def metrics_prometheus(self, emit_types: bool = True) -> str:
+        with self._reach() as backend:
+            return backend.metrics_prometheus(emit_types=emit_types)
 
     # -- lifecycle ---------------------------------------------------------
 
     def start_drain(self) -> None:
-        if self.state == ACTIVE:
-            self.state = DRAINING
+        """Stop accepting work; already-accepted jobs run to completion."""
+        with self._lock:
+            if self.state == ACTIVE:
+                self.state = DRAINING
+
+    def wait_idle(self) -> None:
+        """Block until no accepted job is still running."""
+        with self._lock:
+            self._lock.wait_for(lambda: self.inflight == 0)
 
     def kill(self) -> None:
-        """Kill the child process; in-flight requests fail as ShardLost."""
-        self.state = DEAD
-        if self._process is not None and self._process.returncode is None:
-            self._process.kill()
+        """Crash the shard: every current and future request is lost."""
+        with self._lock:
+            self.state = DEAD
+        if self.process is not None and self.process.poll() is None:
+            self.process.kill()
 
-    async def _terminate(self) -> None:
-        if self._process is not None and self._process.returncode is None:
-            self._process.terminate()
-            try:
-                await asyncio.wait_for(self._process.wait(), timeout=5.0)
-            except asyncio.TimeoutError:  # pragma: no cover
-                self._process.kill()
-                await self._process.wait()
-
-    async def close(self) -> None:
-        self.state = DEAD
-        await self._terminate()
+    def close(self) -> None:
+        with self._lock:
+            self.state = DEAD
+        if self.process is None:
+            self.backend.close()
+        else:
+            _terminate(self.process)
 
     def describe(self) -> dict:
-        return {
-            "shard_id": self.shard_id,
-            "mode": "subprocess",
-            "state": self.state,
-            "port": self.port,
-            "inflight": self.inflight,
-            "completed": self.completed,
-        }
+        with self._lock:
+            description = {
+                "shard_id": self.shard_id,
+                "mode": "inprocess" if self.process is None else "subprocess",
+                "state": self.state,
+                "inflight": self.inflight,
+                "completed": self.completed,
+            }
+        if self.process is not None:
+            description["port"] = self.port
+        return description
+
+
+def _terminate(process: subprocess.Popen) -> None:
+    if process.poll() is None:
+        process.terminate()
+        try:
+            process.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:  # pragma: no cover
+            process.kill()
+            process.wait()
+    if process.stdout is not None:
+        process.stdout.close()

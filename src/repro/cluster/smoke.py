@@ -15,16 +15,17 @@ Exit 0 on success, 1 with a diagnostic on any violated invariant.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
+from ..service.client import ServiceClient
 from ..workloads.corpus import corpus_sources
-from .client import AsyncClusterClient
 from .quotas import QuotaManager
 from .router import ClusterRouter, build_shards
-from .server import create_cluster_server
+from .server import ClusterServer
 
 VARIANT = """
 class Base {{ public: double d; }};
@@ -41,12 +42,12 @@ def smoke_sources(count: int) -> List[Tuple[str, str]]:
     return pairs[:count]
 
 
-async def _sweep_bytes(client: AsyncClusterClient, sources) -> bytes:
-    response = await client.sweep(sources)
+def _sweep_bytes(client: ServiceClient, sources) -> bytes:
+    response = client.sweep(sources)
     return json.dumps(response["reports"], sort_keys=True).encode()
 
 
-async def _run(args) -> int:
+def _run(args) -> int:
     failures: List[str] = []
 
     def check(ok: bool, message: str) -> None:
@@ -57,24 +58,24 @@ async def _run(args) -> int:
 
     sources = smoke_sources(args.sweep_size)
 
-    shards = await build_shards(
+    shards = build_shards(
         args.shards, mode=args.shard_mode, workers=args.workers,
         cache_dir=args.cache_dir, use_cache=True,
     )
     router = ClusterRouter(shards, vnodes=args.vnodes)
-    server = await create_cluster_server(router, quotas=QuotaManager())
-    client = AsyncClusterClient("127.0.0.1", server.port, tenant="smoke")
+    server = ClusterServer(router, quotas=QuotaManager()).start()
+    client = ServiceClient(f"http://127.0.0.1:{server.port}", tenant="smoke")
     try:
-        health = await client.healthz()
+        health = client.healthz()
         check(
             health.get("shards_live") == args.shards,
             f"{args.shards} shards live behind http://127.0.0.1:{server.port}",
         )
 
-        cold = await _sweep_bytes(client, sources)
-        before = (await client.metrics())["tiers"]
-        warm = await _sweep_bytes(client, sources)
-        after = (await client.metrics())["tiers"]
+        cold = _sweep_bytes(client, sources)
+        before = client.metrics_snapshot()["tiers"]
+        warm = _sweep_bytes(client, sources)
+        after = client.metrics_snapshot()["tiers"]
         lookups = after["lookups"] - before["lookups"]
         hits = sum(after["hits"].values()) - sum(before["hits"].values())
         rate = hits / lookups if lookups else 0.0
@@ -87,31 +88,33 @@ async def _run(args) -> int:
         # control bytes for the failover sweep: a separate no-fault
         # cluster; determinism says any correct run produces these bytes
         fresh = [
-            (f"failover-{label}", text + f"\n// failover pass\n")
+            (f"failover-{label}", text + "\n// failover pass\n")
             for label, text in sources
         ]
-        control_shards = await build_shards(
+        control_shards = build_shards(
             1, mode="inprocess", workers=args.workers,
             cache_dir=None, use_cache=True, prefix="control",
         )
         control = ClusterRouter(control_shards, vnodes=args.vnodes)
-        control_server = await create_cluster_server(control)
-        control_client = AsyncClusterClient("127.0.0.1", control_server.port)
+        control_server = ClusterServer(control).start()
         try:
-            expected = await _sweep_bytes(control_client, fresh)
+            control_client = ServiceClient(f"http://127.0.0.1:{control_server.port}")
+            expected = _sweep_bytes(control_client, fresh)
         finally:
-            await control_server.close()
+            control_server.close()
+            control.close()
 
         victim = health["shards"][1]
-        sweep_task = asyncio.ensure_future(_sweep_bytes(client, fresh))
-        await asyncio.sleep(args.kill_delay)  # let the sweep get airborne
-        await client.kill(victim)
-        survived = await sweep_task
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            sweep = pool.submit(_sweep_bytes, client, fresh)
+            time.sleep(args.kill_delay)  # let the sweep get airborne
+            client.kill(victim)
+            survived = sweep.result()
         check(
             survived == expected,
             f"sweep with '{victim}' killed mid-flight matches no-fault bytes",
         )
-        topology = await client.cluster()
+        topology = client.cluster()
         check(
             topology["shards"][victim]["state"] == "dead"
             and len(topology["ring"]["shards"]) == args.shards - 1,
@@ -119,12 +122,13 @@ async def _run(args) -> int:
         )
 
         if args.out:
-            document = await client.metrics()
+            document = client.metrics_snapshot()
             with open(args.out, "w") as handle:
                 json.dump(document, handle, sort_keys=True, indent=2)
             print(f"metrics dump written to {args.out}", flush=True)
     finally:
-        await server.close()
+        server.close()
+        router.close()
     if failures:
         print(f"{len(failures)} smoke check(s) failed", file=sys.stderr)
         return 1
@@ -156,7 +160,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--out", default=None, help="write the per-shard metrics dump here"
     )
     args = parser.parse_args(argv)
-    return asyncio.run(_run(args))
+    return _run(args)
 
 
 if __name__ == "__main__":

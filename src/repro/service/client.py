@@ -7,7 +7,10 @@ of hanging a CLI user forever.  Transient socket failures (connection
 refused during shard startup, resets, timeouts) are retried a bounded
 number of times with the scheduler's deterministic decorrelated-jitter
 backoff; a server that *responds* with a non-2xx status is never
-retried — that is a :class:`ServiceError` for the caller to interpret.
+retried — that is a :class:`ServiceError` for the caller to interpret,
+except a 429 from the ``repro-cluster`` tenant quotas, waited out a
+bounded number of times.  The client is also the cluster's transport
+to a subprocess shard: it answers the engine methods a shard calls.
 """
 
 from __future__ import annotations
@@ -49,10 +52,12 @@ class ServiceUnavailable(ServiceError):
 def backoff_delay(key: str, attempt: int, base: float, cap: float) -> float:
     """Exponential backoff with deterministic, key-seeded jitter.
 
-    The same idiom as the scheduler's retry path: hashing
-    ``key:attempt`` gives every (request, attempt) pair its own stable
-    fraction in ``[0, 1)``, spreading retry herds across clients while
-    staying byte-for-byte reproducible across runs and processes.
+    Shared with the scheduler's retry path.  Pure exponential backoff
+    retries co-failing work in lockstep; classic decorrelated jitter
+    fixes that but makes tests flaky.  Hashing ``key:attempt`` gives
+    every (request, attempt) pair its own stable fraction in ``[0, 1)``,
+    spreading retry herds while staying byte-for-byte reproducible
+    across runs and processes.
     """
     ceiling = min(base * (2 ** (attempt - 1)), cap)
     digest = hashlib.sha256(f"{key}:{attempt}".encode()).digest()
@@ -60,14 +65,22 @@ def backoff_delay(key: str, attempt: int, base: float, cap: float) -> float:
     return min(cap, ceiling * (0.5 + fraction))
 
 
+#: job KIND → the endpoint that runs it, for jobs sent to a remote engine.
+_KIND_PATHS = {"analyze": "/analyze", "attack": "/attacks", "exec": "/exec"}
+
+
 class ServiceClient:
-    """Typed wrappers over the service endpoints.
+    """Typed wrappers over the service and cluster endpoints.
 
     ``timeout`` is the legacy single knob and remains the default for
     both phases; ``connect_timeout``/``read_timeout`` override it
     individually.  ``retries`` bounds re-attempts after transient
-    socket errors (0 disables); ``sleep`` is injectable so tests can
-    count backoff delays without waiting them out.
+    socket errors (0 disables).  ``tenant`` rides every request as
+    ``X-Tenant``; a 429 is retried at most ``max_throttle_retries``
+    times after waiting its ``retry_after`` (the exact JSON float, else
+    the header), each wait recorded in ``throttled_waits``.  ``sleep``
+    is injectable so tests can count backoff and throttle delays
+    without waiting them out.
     """
 
     def __init__(
@@ -80,6 +93,8 @@ class ServiceClient:
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
         sleep: Callable[[float], None] = time.sleep,
+        tenant: str = "",
+        max_throttle_retries: int = 4,
     ):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
@@ -89,6 +104,9 @@ class ServiceClient:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self._sleep = sleep
+        self.tenant = tenant
+        self.max_throttle_retries = max_throttle_retries
+        self.throttled_waits: list = []  # observed 429 waits, in seconds
         parsed = urlsplit(self.base_url)
         if parsed.scheme not in ("http", ""):
             raise ValueError(f"unsupported URL scheme '{parsed.scheme}'")
@@ -112,20 +130,29 @@ class ServiceClient:
         headers: Optional[dict] = None,
     ) -> bytes:
         data = json.dumps(body).encode() if body is not None else None
-        attempts = 0
+        if self.tenant:
+            headers = {"X-Tenant": self.tenant, **(headers or {})}
+        failures = throttles = 0
         while True:
-            attempts += 1
             try:
                 return self._attempt(method, path, data, headers)
+            except ServiceError as error:
+                if error.status != 429 or throttles >= self.max_throttle_retries:
+                    raise
+                throttles += 1
+                wait = error.retry_after if error.retry_after is not None else 0.1
+                self.throttled_waits.append(wait)
+                self._sleep(wait)
             except (OSError, http.client.HTTPException) as error:
-                if attempts > self.retries:
+                failures += 1
+                if failures > self.retries:
                     raise ServiceUnavailable(
-                        self.base_url + path, attempts, error
+                        self.base_url + path, failures, error
                     ) from error
                 self._sleep(
                     backoff_delay(
                         f"{method} {path}",
-                        attempts,
+                        failures,
                         self.backoff_base,
                         self.backoff_cap,
                     )
@@ -172,17 +199,17 @@ class ServiceClient:
                     retry_after = None
         raise ServiceError(response.status, str(message), retry_after=retry_after)
 
-    # -- endpoints ---------------------------------------------------------
-
     def healthz(self) -> dict:
         return self._request("GET", "/healthz")
 
-    def metrics(self) -> dict:
+    def metrics_snapshot(self) -> dict:
         return self._request("GET", "/metrics")
 
-    def metrics_text(self) -> str:
-        """The Prometheus text exposition of the metrics snapshot."""
-        return self._request_raw("GET", "/metrics?format=prom").decode()
+    def metrics_prometheus(self, emit_types: bool = True) -> str:
+        """The Prometheus text of the metrics snapshot (without ``# TYPE``
+        lines when ``emit_types`` is false, for the cluster's merged scrape)."""
+        suffix = "" if emit_types else "&types=0"
+        return self._request_raw("GET", f"/metrics?format=prom{suffix}").decode()
 
     def trace(self, key: str) -> dict:
         """The span record for job ``key`` (404 → :class:`ServiceError`)."""
@@ -192,24 +219,35 @@ class ServiceClient:
         """``{"keys": [...]}`` — every job key with a retained trace."""
         return self._request("GET", "/trace")
 
-    def cache_get(self, key: str) -> Optional[dict]:
-        """Probe the server's result cache: the cached result or ``None``.
+    # -- the cluster shard seam ----------------------------------------------
 
-        The cluster front-end's peer-fetch tier; a 404 (cache miss on
-        the peer) is a normal outcome, not an error.
+    def run_job(self, job) -> dict:
+        """Run ``job`` on the remote engine through its endpoint."""
+        if job.KIND not in _KIND_PATHS:
+            raise ValueError(f"job kind '{job.KIND}' has no HTTP endpoint")
+        return self._request("POST", _KIND_PATHS[job.KIND], job.payload())
+
+    def cache_lookup(self, key: str) -> "tuple[Optional[dict], Optional[str]]":
+        """``(value, tier)`` from the server's result cache, or ``(None, None)``.
+
+        The cluster front-end's owner and peer probe; a 404 (cache
+        miss) is a normal outcome, not an error.
         """
         try:
-            return self._request("GET", f"/cache/{key}")
+            response = self._request("GET", f"/cache/{key}")
         except ServiceError as error:
             if error.status == 404:
-                return None
+                return None, None
             raise
+        return response.get("result"), response.get("tier")
 
-    def cache_put(self, key: str, result: dict) -> bool:
+    def cache_store(self, key: str, result: dict) -> bool:
         """Warm the server's result cache with an externally computed result."""
         return bool(
             self._request("POST", f"/cache/{key}", {"result": result}).get("stored")
         )
+
+    # -- endpoints -----------------------------------------------------------
 
     def analyze(
         self,
@@ -260,3 +298,20 @@ class ServiceClient:
                 "canary": canary,
             },
         )
+
+    # -- cluster front-end endpoints -----------------------------------------
+
+    def sweep(self, sources, legacy: bool = False) -> dict:
+        """Analyze ``(label, source)`` pairs; reports come back in order."""
+        pairs = [[label, source] for label, source in sources]
+        return self._request("POST", "/analyze", {"sources": pairs, "legacy": legacy})
+
+    def cluster(self) -> dict:
+        """Ring + per-shard topology."""
+        return self._request("GET", "/cluster")
+
+    def drain(self, shard_id: str) -> dict:
+        return self._request("POST", "/admin/drain", {"shard": shard_id})
+
+    def kill(self, shard_id: str) -> dict:
+        return self._request("POST", "/admin/kill", {"shard": shard_id})

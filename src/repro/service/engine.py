@@ -25,6 +25,7 @@ from .jobs import (
     AnalyzeJob,
     AttackJob,
     ExecJob,
+    Job,
     MatrixJob,
 )
 from .metrics import MetricsRegistry, render_prometheus
@@ -274,15 +275,14 @@ class ServiceEngine:
         canary: bool = False,
     ) -> dict:
         """Run MiniC++ source on a fresh simulated machine."""
-        return self.scheduler.run(
+        return self.run_job(
             ExecJob(
                 source=source,
                 entry=entry,
                 args=tuple(args),
                 stdin=tuple(stdin),
                 canary=canary,
-            ),
-            priority=HIGH_PRIORITY,
+            )
         )
 
     # -- fuzzing -----------------------------------------------------------
@@ -491,13 +491,17 @@ class ServiceEngine:
             self.metrics_snapshot(), labels=labels, emit_types=emit_types
         )
 
-    # -- cluster cache seam ------------------------------------------------
+    # -- cluster shard seam ------------------------------------------------
+
+    def run_job(self, job: Job) -> dict:
+        """Run any job (an HTTP route's, a cluster shard's) to its result."""
+        return self.scheduler.run(job, priority=HIGH_PRIORITY)
 
     def cache_lookup(self, key: str) -> "tuple[Optional[dict], Optional[str]]":
         """``(value, tier)`` from this shard's result cache, or ``(None, None)``.
 
-        The cluster router's tiered cache uses this to peek a peer
-        shard's cache (tier ``"mem"`` or ``"disk"``) before recomputing.
+        The cluster router uses this to peek an owner or peer shard's
+        cache (tier ``"mem"`` or ``"disk"``) before recomputing.
         """
         if self.cache is None:
             return None, None

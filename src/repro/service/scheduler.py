@@ -40,7 +40,6 @@ retryable dispatch faults through a seam in ``_execute``.
 from __future__ import annotations
 
 import enum
-import hashlib
 import itertools
 import queue
 import threading
@@ -51,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional
 
 from .cache import ResultCache
+from .client import backoff_delay
 from .faults import DISPATCH_FAULTS, FaultPlan
 from .jobs import NORMAL_PRIORITY, Job
 from .metrics import MetricsRegistry
@@ -303,20 +303,10 @@ class Scheduler:
         return True
 
     def _backoff_delay(self, key: str, attempt: int) -> float:
-        """Exponential backoff with deterministic, key-seeded jitter.
-
-        Pure exponential backoff retries co-failing jobs in lockstep;
-        classic decorrelated jitter fixes that but makes tests flaky.
-        Hashing ``key:attempt`` gives every job its own stable fraction
-        in ``[0, 1)``, spreading the herd while staying byte-for-byte
-        reproducible across runs and processes.
-        """
-        base = min(self.backoff_base * (2 ** (attempt - 1)), self.backoff_cap)
+        """The client's key-seeded jittered backoff, or plain exponential."""
         if not self.backoff_jitter:
-            return base
-        digest = hashlib.sha256(f"{key}:{attempt}".encode()).digest()
-        fraction = int.from_bytes(digest[:8], "big") / 2 ** 64
-        return min(self.backoff_cap, base * (0.5 + fraction))
+            return min(self.backoff_base * (2 ** (attempt - 1)), self.backoff_cap)
+        return backoff_delay(key, attempt, self.backoff_base, self.backoff_cap)
 
     def _abandon(self, future: Future) -> bool:
         """Account for a worker that blew its deadline; returns degraded.

@@ -39,170 +39,264 @@ Requests are executed through the engine's scheduler, so repeated
 identical requests are served from the result cache, and the server
 stays responsive under load: ``ThreadingHTTPServer`` handles sockets
 while the bounded work queue sheds excess load as HTTP 503.
+
+:class:`JSONRequestHandler` is the plumbing shared with the cluster
+front-end (:mod:`repro.cluster.server`): route tables, one body reader
+(malformed or oversized framing is a 400), one JSON sender, Prometheus
+negotiation and the exception → status mapping.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .engine import ServiceEngine
+from .jobs import AttackJob, ExecJob
 from .scheduler import JobFailed, QueueFull
 
+#: Request bodies larger than this are refused before they are read.
+MAX_BODY = 32 * 1024 * 1024
 
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that carries the engine for its handlers."""
-
-    daemon_threads = True
-
-    def __init__(self, address: Tuple[str, int], engine: ServiceEngine):
-        super().__init__(address, _ServiceHandler)
-        self.engine = engine
+PROMETHEUS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
-class _ServiceHandler(BaseHTTPRequestHandler):
-    server: ServiceHTTPServer
+class HTTPError(Exception):
+    """Answer with ``status`` and ``{"error": message, **fields}``.
 
-    # -- plumbing ----------------------------------------------------------
+    ``counter`` names the ``<prefix><counter>`` metric to bump.
+    """
+
+    def __init__(self, status, message, counter=None, headers=None, **fields):
+        super().__init__(message)
+        self.status = status
+        self.counter = counter
+        self.headers = headers or {}
+        self.body = {"error": message, **fields}
+
+
+class JSONRequestHandler(BaseHTTPRequestHandler):
+    """Route-table dispatch for a JSON API (one request per connection).
+
+    Subclasses fill ``GET_ROUTES``/``POST_ROUTES`` with path → function.
+    A path ending in ``/`` is a prefix whose remainder becomes the last
+    argument; POST handlers get the parsed body first.  A handler's dict
+    return is sent as JSON, a str as Prometheus text.  The server must
+    carry a ``metrics`` registry; counters are ``METRIC_PREFIX + name``.
+    """
+
+    METRIC_PREFIX = "http."
+    GET_ROUTES: dict = {}
+    POST_ROUTES: dict = {}
+    #: (exception types, status, counter), first match wins
+    ERRORS: tuple = (
+        ((KeyError, TypeError, ValueError), 400, "bad_request"),
+        (QueueFull, 503, "overloaded"),
+        (JobFailed, 500, "job_failed"),
+    )
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # requests are accounted in metrics, not stderr
 
-    def _send_json(self, status: int, body: dict) -> None:
+    def do_GET(self) -> None:  # noqa: N802 (http.server convention)
+        self._dispatch(self.GET_ROUTES)
+
+    def do_POST(self) -> None:  # noqa: N802
+        self._dispatch(self.POST_ROUTES)
+
+    def _count(self, name: str) -> None:
+        self.server.metrics.counter(self.METRIC_PREFIX + name).inc()
+
+    def _dispatch(self, routes: dict) -> None:
+        self._count("requests")
+        url = urlsplit(self.path)
+        self.query = url.query
+        try:
+            args = (self._read_body(),) if self.command == "POST" else ()
+            handler, rest = self._route(routes, url.path)
+            reply = handler(self, *args, *rest)
+        except HTTPError as error:
+            if error.counter:
+                self._count(error.counter)
+            self._send_json(error.status, error.body, error.headers)
+            return
+        except Exception as error:
+            for types, status, counter in self.ERRORS:
+                if isinstance(error, types):
+                    break
+            else:
+                raise
+            self._count(counter)
+            # KeyError's str() wraps its message in an extra repr layer
+            message = (
+                error.args[0]
+                if isinstance(error, KeyError) and error.args
+                else error
+            )
+            self._send_json(status, {"error": str(message)})
+            return
+        if isinstance(reply, str):
+            self._send_bytes(200, reply.encode(), PROMETHEUS_TYPE)
+        else:
+            self._send_json(200, reply)
+
+    def _route(self, routes: dict, path: str):
+        if path in routes:
+            return routes[path], ()
+        for prefix, handler in routes.items():
+            if prefix.endswith("/") and path.startswith(prefix):
+                return handler, (path[len(prefix):],)
+        raise HTTPError(404, f"unknown path {self.path}", counter="not_found")
+
+    def _read_body(self) -> dict:
+        length = self.headers.get("Content-Length") or "0"
+        if not length.isdecimal():  # negative, signed or not a number
+            raise HTTPError(400, f"bad Content-Length {length!r}", counter="bad_request")
+        if int(length) > MAX_BODY:
+            raise HTTPError(
+                400, f"request body over {MAX_BODY} bytes", counter="bad_request"
+            )
+        try:
+            body = json.loads(self.rfile.read(int(length)) or b"{}")
+        except ValueError:
+            body = None
+        if not isinstance(body, dict):
+            raise HTTPError(
+                400, "request body must be a JSON object", counter="bad_request"
+            )
+        return body
+
+    def _send_json(self, status: int, body: dict, headers=None) -> None:
         data = json.dumps(body, sort_keys=True).encode()
-        self._send_bytes(status, data, "application/json")
+        self._send_bytes(status, data, "application/json", headers)
 
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        self._send_bytes(status, text.encode(), content_type)
-
-    def _send_bytes(self, status: int, data: bytes, content_type: str) -> None:
+    def _send_bytes(
+        self, status: int, data: bytes, content_type: str, headers=None
+    ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
-    def _read_body(self) -> Optional[dict]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b"{}"
-        try:
-            body = json.loads(raw or b"{}")
-        except ValueError:
-            return None
-        return body if isinstance(body, dict) else None
-
-    @property
-    def engine(self) -> ServiceEngine:
-        return self.server.engine
-
-    # -- routes ------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server convention)
-        self.engine.metrics.counter("http.requests").inc()
-        parts = urlsplit(self.path)
-        path = parts.path
-        if path == "/healthz":
-            self._send_json(200, self.engine.health())
-        elif path == "/metrics":
-            if self._wants_prometheus(parts.query):
-                # types=0: omit "# TYPE" lines so the cluster front-end
-                # can concatenate per-shard renders into one scrape
-                emit_types = parse_qs(parts.query).get("types", ["1"])[0] != "0"
-                self._send_text(
-                    200,
-                    self.engine.metrics_prometheus(emit_types=emit_types),
-                    "text/plain; version=0.0.4; charset=utf-8",
-                )
-            else:
-                self._send_json(200, self.engine.metrics_snapshot())
-        elif path == "/trace" or path == "/trace/":
-            self._send_json(200, {"keys": self.engine.traces.keys()})
-        elif path.startswith("/trace/"):
-            key = path[len("/trace/"):]
-            trace = self.engine.trace(key)
-            if trace is None:
-                self._send_json(404, {"error": f"no trace recorded for job '{key}'"})
-            else:
-                self._send_json(200, trace)
-        elif path.startswith("/cache/"):
-            key = path[len("/cache/"):]
-            value, tier = self.engine.cache_lookup(key)
-            if value is None:
-                self._send_json(404, {"error": f"no cached result for '{key}'"})
-            else:
-                self._send_json(200, {"key": key, "tier": tier, "result": value})
-        else:
-            self.engine.metrics.counter("http.not_found").inc()
-            self._send_json(404, {"error": f"unknown path {self.path}"})
-
-    def _wants_prometheus(self, query: str) -> bool:
+    def _wants_prometheus(self) -> bool:
         """Prometheus text via ``?format=prom`` or scraper Accept headers."""
-        requested = parse_qs(query).get("format", [""])[0]
+        requested = parse_qs(self.query).get("format", [""])[0]
         if requested:
             return requested in ("prom", "prometheus", "text")
         accept = self.headers.get("Accept", "")
         return "text/plain" in accept or "openmetrics" in accept
 
-    def do_POST(self) -> None:  # noqa: N802
-        self.engine.metrics.counter("http.requests").inc()
-        body = self._read_body()
-        if body is None:
-            self.engine.metrics.counter("http.bad_request").inc()
-            self._send_json(400, {"error": "request body must be a JSON object"})
-            return
-        try:
-            if self.path == "/analyze":
-                self._send_json(200, self._analyze(body))
-            elif self.path == "/attacks":
-                self._send_json(200, self._attacks(body))
-            elif self.path == "/matrix":
-                self._send_json(
-                    200,
-                    self.engine.matrix(
-                        attacks=tuple(body.get("attacks") or ()),
-                        defenses=tuple(body.get("defenses") or ()),
-                    ),
-                )
-            elif self.path == "/exec":
-                if not isinstance(body.get("source"), str):
-                    raise ValueError("'source' must be a string")
-                self._send_json(
-                    200,
-                    self.engine.execute(
-                        source=body["source"],
-                        entry=body.get("entry", "main"),
-                        args=tuple(body.get("args") or ()),
-                        stdin=tuple(body.get("stdin") or ()),
-                        canary=bool(body.get("canary")),
-                    ),
-                )
-            elif self.path.startswith("/cache/"):
-                key = self.path[len("/cache/"):]
-                result = body.get("result")
-                if not isinstance(result, dict):
-                    raise ValueError("'result' must be a JSON object")
-                stored = self.engine.cache_store(key, result)
-                self._send_json(200, {"key": key, "stored": stored})
-            else:
-                self.engine.metrics.counter("http.not_found").inc()
-                self._send_json(404, {"error": f"unknown path {self.path}"})
-        except (KeyError, TypeError, ValueError) as error:
-            self.engine.metrics.counter("http.bad_request").inc()
-            # KeyError's str() wraps its message in an extra repr layer
-            message = (
-                error.args[0]
-                if isinstance(error, KeyError) and error.args
-                else str(error)
-            )
-            self._send_json(400, {"error": str(message)})
-        except QueueFull as error:
-            self.engine.metrics.counter("http.overloaded").inc()
-            self._send_json(503, {"error": str(error)})
-        except JobFailed as error:
-            self.engine.metrics.counter("http.job_failed").inc()
-            self._send_json(500, {"error": str(error)})
+
+def attack_jobs(body: dict) -> List[AttackJob]:
+    """An ``/attacks`` body: one named attack, or the whole gallery.
+
+    Names are validated before anything queues (KeyError → 400).
+    """
+    from ..attacks import all_attacks, attack_by_name, environment_by_label
+
+    env = str(body.get("env", "unprotected"))
+    environment_by_label(env)
+    if body.get("attack"):
+        attack_by_name(str(body["attack"]))
+        return [AttackJob(attack=str(body["attack"]), env=env)]
+    return [AttackJob(attack=scenario.name, env=env) for scenario in all_attacks()]
+
+
+def exec_job(body: dict) -> ExecJob:
+    """An ``/exec`` body; unknown keys (the retired ``engine``) are ignored."""
+    source = body.get("source")
+    if not isinstance(source, str):
+        raise ValueError("'source' must be a string")
+    return ExecJob(
+        source=source,
+        entry=str(body.get("entry", "main")),
+        args=tuple(body.get("args") or ()),
+        stdin=tuple(body.get("stdin") or ()),
+        canary=bool(body.get("canary")),
+    )
+
+
+class JSONHTTPServer(ThreadingHTTPServer):
+    """A threaded server whose handlers count into ``metrics``."""
+
+    daemon_threads = True
+
+    def __init__(self, address: Tuple[str, int], handler, metrics):
+        super().__init__(address, handler)
+        self.metrics = metrics
+        self._thread: Optional[threading.Thread] = None
+
+    @property
+    def port(self) -> int:
+        return self.server_address[1]
+
+    def start(self) -> "JSONHTTPServer":
+        """Serve on a background thread (``close`` stops it within 50 ms)."""
+        self._thread = threading.Thread(
+            target=self.serve_forever, args=(0.05,), daemon=True
+        )
+        self._thread.start()
+        return self
+
+    def close(self) -> None:
+        """Stop serving and release the socket."""
+        if self._thread is not None:
+            self.shutdown()
+            self._thread.join()
+        self.server_close()
+
+
+class ServiceHTTPServer(JSONHTTPServer):
+    """The ``repro-serve`` server; it carries the engine for its handlers."""
+
+    def __init__(self, address: Tuple[str, int], engine: ServiceEngine):
+        super().__init__(address, _ServiceHandler, engine.metrics)
+        self.engine = engine
+
+
+class _ServiceHandler(JSONRequestHandler):
+    server: ServiceHTTPServer
+
+    @property
+    def engine(self) -> ServiceEngine:
+        return self.server.engine
+
+    def _healthz(self) -> dict:
+        return self.engine.health()
+
+    def _metrics(self):
+        if not self._wants_prometheus():
+            return self.engine.metrics_snapshot()
+        # types=0: omit "# TYPE" lines so the cluster front-end can
+        # concatenate per-shard renders into one scrape
+        emit_types = parse_qs(self.query).get("types", ["1"])[0] != "0"
+        return self.engine.metrics_prometheus(emit_types=emit_types)
+
+    def _trace(self, key: str = "") -> dict:
+        if not key:
+            return {"keys": self.engine.traces.keys()}
+        trace = self.engine.trace(key)
+        if trace is None:
+            raise HTTPError(404, f"no trace recorded for job '{key}'")
+        return trace
+
+    def _cache_get(self, key: str) -> dict:
+        value, tier = self.engine.cache_lookup(key)
+        if value is None:
+            raise HTTPError(404, f"no cached result for '{key}'")
+        return {"key": key, "tier": tier, "result": value}
+
+    def _cache_put(self, body: dict, key: str) -> dict:
+        result = body.get("result")
+        if not isinstance(result, dict):
+            raise ValueError("'result' must be a JSON object")
+        return {"key": key, "stored": self.engine.cache_store(key, result)}
 
     def _analyze(self, body: dict) -> dict:
         legacy = bool(body.get("legacy"))
@@ -216,14 +310,34 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         )
 
     def _attacks(self, body: dict) -> dict:
-        from ..attacks import attack_by_name, environment_by_label
-
-        env = body.get("env", "unprotected")
-        environment_by_label(env)  # validate before queueing (KeyError → 400)
+        jobs = attack_jobs(body)
         if body.get("attack"):
-            attack_by_name(body["attack"])
-            return self.engine.attack(body["attack"], env=env)
-        return {"results": self.engine.gallery(env=env)}
+            return self.engine.run_job(jobs[0])
+        return {"results": self.engine.gallery(env=jobs[0].env)}
+
+    def _matrix(self, body: dict) -> dict:
+        return self.engine.matrix(
+            attacks=tuple(body.get("attacks") or ()),
+            defenses=tuple(body.get("defenses") or ()),
+        )
+
+    def _exec(self, body: dict) -> dict:
+        return self.engine.run_job(exec_job(body))
+
+    GET_ROUTES = {
+        "/healthz": _healthz,
+        "/metrics": _metrics,
+        "/trace": _trace,
+        "/trace/": _trace,
+        "/cache/": _cache_get,
+    }
+    POST_ROUTES = {
+        "/analyze": _analyze,
+        "/attacks": _attacks,
+        "/matrix": _matrix,
+        "/exec": _exec,
+        "/cache/": _cache_put,
+    }
 
 
 def create_server(

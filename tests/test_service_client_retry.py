@@ -141,9 +141,9 @@ class TestStatusErrorsAreNotRetried:
 
     def test_cache_routes_round_trip(self, service):
         client = ServiceClient(service)
-        assert client.cache_get("analyze-00000000000000000000") is None
+        assert client.cache_lookup("analyze-00000000000000000000") == (None, None)
         key = "analyze-feedfacefeedfacefeed"
-        assert client.cache_put(key, {"label": "seeded"}) is True
-        fetched = client.cache_get(key)
-        assert fetched["result"] == {"label": "seeded"}
-        assert fetched["tier"] == "mem"
+        assert client.cache_store(key, {"label": "seeded"}) is True
+        value, tier = client.cache_lookup(key)
+        assert value == {"label": "seeded"}
+        assert tier == "mem"

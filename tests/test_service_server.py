@@ -1,6 +1,7 @@
 """End-to-end repro-serve round trips on an ephemeral port."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -14,12 +15,39 @@ from repro.service import (
     ServiceError,
     create_server,
 )
+from repro.service.server import MAX_BODY
 
 VULN_SOURCE = """
 class A { public: double d; };
 class B : public A { public: int x[8]; };
 void f() { A a; B *b = new (&a) B(); }
 """
+
+
+#: Content-Length values no server may read a body for.
+BAD_LENGTHS = ["abc", "-5", str(MAX_BODY + 1)]
+
+
+def raw_post(base_url: str, path: str, length: str):
+    """POST with a hand-written ``Content-Length`` and no body bytes.
+
+    Returns ``(status, JSON reply)``; the server must answer before
+    closing the connection.
+    """
+    port = int(base_url.rsplit(":", 1)[1])
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(
+            f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {length}\r\n\r\n".encode()
+        )
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +116,7 @@ class TestEndpoints:
 
     def test_metrics_include_http_and_cache(self, service):
         client, _, _ = service
-        metrics = client.metrics()
+        metrics = client.metrics_snapshot()
         assert metrics["counters"]["http.requests"] >= 1
         assert "hit_rate" in metrics["cache"]
 
@@ -102,7 +130,7 @@ class TestEndpoints:
     def test_metrics_prometheus_text(self, service):
         client, _, base_url = service
         client.healthz()  # ensure at least one counted request
-        text = client.metrics_text()
+        text = client.metrics_prometheus()
         assert "# TYPE repro_http_requests_total counter" in text
         assert "repro_scheduler_queue_depth" in text
         assert "repro_cache_write_errors" in text
@@ -145,10 +173,10 @@ class TestCachePeerProtocol:
     def test_put_then_get_round_trips_through_mem_tier(self, service):
         client, engine, _ = service
         key = "analyze-cafecafecafecafecafe"
-        assert client.cache_put(key, {"label": "peered"}) is True
-        fetched = client.cache_get(key)
-        assert fetched["result"] == {"label": "peered"}
-        assert fetched["tier"] == "mem"
+        assert client.cache_store(key, {"label": "peered"}) is True
+        value, tier = client.cache_lookup(key)
+        assert value == {"label": "peered"}
+        assert tier == "mem"
         assert engine.cache.get(key) == {"label": "peered"}
 
     def test_put_rejects_non_object_results(self, service):
@@ -161,7 +189,7 @@ class TestCachePeerProtocol:
         client, _, _ = service
         client.analyze(source=VULN_SOURCE, label="fetchable")
         key = AnalyzeJob(source=VULN_SOURCE, label="fetchable").key()
-        assert client.cache_get(key)["result"]["label"] == "fetchable"
+        assert client.cache_lookup(key)[0]["label"] == "fetchable"
 
 
 class TestErrorHandling:
@@ -218,3 +246,24 @@ class TestErrorHandling:
             "POST", "/exec", {"source": "int main() { return 3; }", "engine": "qemu"}
         )
         assert response["return_value"] == 3
+
+
+class TestRequestFraming:
+    """Malformed or oversized framing gets a JSON 400, not a dropped socket."""
+
+    @pytest.mark.parametrize("length", BAD_LENGTHS)
+    def test_bad_content_length_is_answered_400(self, service, length):
+        client, engine, base_url = service
+        before = engine.metrics.snapshot()["counters"].get("http.bad_request", 0)
+        status, reply = raw_post(base_url, "/analyze", length)
+        assert status == 400
+        assert "Content-Length" in reply["error"] or str(MAX_BODY) in reply["error"]
+        assert engine.metrics.snapshot()["counters"]["http.bad_request"] == before + 1
+        assert client.healthz()["status"] == "ok"
+
+    def test_post_routing_ignores_query_string(self, service):
+        client, _, _ = service
+        response = client._request(
+            "POST", "/analyze?x=1", {"source": VULN_SOURCE, "label": "query"}
+        )
+        assert response["label"] == "query"
